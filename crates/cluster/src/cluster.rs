@@ -240,7 +240,11 @@ pub struct Cluster {
     pub main: MainMemory,
     /// The 512-bit DMA engine.
     pub dma: Dma,
-    ports: Vec<Vec<MemPort>>,
+    /// Every core's physical ports in one flat slot array: workers in
+    /// hart order, then the DMCC. CC `i` owns
+    /// `ports[port_base[i]..port_base[i + 1]]`.
+    ports: Vec<MemPort>,
+    port_base: Vec<usize>,
     l1: Vec<L1ICache>,
     dma_claimed: Vec<bool>,
     dma_attr: CycleBreakdown,
@@ -322,11 +326,13 @@ impl Cluster {
             params.cc,
             issr_core::streamer::Streamer::new(&[issr_core::lane::LaneKind::Ssr]),
         );
-        let mut ports = Vec::new();
-        for cc in &workers {
-            ports.push((0..cc.n_ports()).map(|_| MemPort::new()).collect::<Vec<_>>());
+        let (mut port_base, mut n_ports) = (vec![0], 0);
+        for cc in workers.iter().chain(std::iter::once(&dmcc)) {
+            n_ports += cc.n_ports();
+            port_base.push(n_ports);
         }
-        ports.push((0..dmcc.n_ports()).map(|_| MemPort::new()).collect());
+        assert!(n_ports <= 64, "cluster port slots must fit the u64 routing mask"); // gate-allow: host-API construction precondition
+        let ports = (0..n_ports).map(|_| MemPort::new()).collect();
         // Two hives of four workers share an L1 each; the DMCC fetches
         // ideally (control code only).
         let n_hives = params.n_workers.div_ceil(4).max(1);
@@ -338,6 +344,7 @@ impl Cluster {
             main: MainMemory::new(MAIN_BASE, MAIN_SIZE),
             dma: Dma::new(TCDM_BASE, TCDM_SIZE),
             ports,
+            port_base,
             l1,
             dma_claimed: vec![false; TCDM_BANKS],
             dma_attr: CycleBreakdown::default(),
@@ -436,7 +443,8 @@ impl Cluster {
                 cc.tick_idle();
             } else {
                 let hive = i / 4;
-                cc.tick(now, &mut self.ports[i], None, Some(&mut self.l1[hive.min(1)]));
+                let phys = &mut self.ports[self.port_base[i]..self.port_base[i + 1]];
+                cc.tick(now, phys, None, Some(&mut self.l1[hive.min(1)]));
             }
             in_roi |= cc.metrics.roi_active;
         }
@@ -446,7 +454,8 @@ impl Cluster {
         if idle_dmcc {
             self.dmcc.tick_idle();
         } else {
-            self.dmcc.tick(now, &mut self.ports[n_workers], Some(&mut self.dma), None);
+            let phys = &mut self.ports[self.port_base[n_workers]..];
+            self.dmcc.tick(now, phys, Some(&mut self.dma), None);
         }
         host::phase(&mut host_t, "dmcc", 1, u64::from(idle_dmcc));
         self.census = TickCensus { idle_workers, idle_dmcc, idle_dma: !self.dma.busy() };
@@ -466,7 +475,7 @@ impl Cluster {
             // Only a busy engine reads the contested map; skip the
             // banks scan (and tolerate stale contents) otherwise.
             self.contested.fill(false);
-            for port in self.ports.iter().flatten() {
+            for port in &self.ports {
                 if let Some(req) = port.pending() {
                     if region_of(req.addr) == Region::Tcdm {
                         self.contested[self.tcdm.bank_of(req.addr)] = true;
@@ -492,18 +501,15 @@ impl Cluster {
         // Route main-region requests and latch the routing: the TCDM
         // phase must exclude exactly these slots — served or not — so
         // its round-robin port positions match the pre-split order.
-        debug_assert!(self.ports.iter().map(Vec::len).sum::<usize>() <= 64, "port mask width");
         let mut main_routed: u64 = 0;
         let mut any_pending = false;
-        let mut main_ports: Vec<&mut MemPort> = Vec::new();
-        for (slot, port) in self.ports.iter_mut().flatten().enumerate() {
+        for (slot, port) in self.ports.iter().enumerate() {
             match port.pending().map(|r| region_of(r.addr)) {
                 None => {}
                 Some(Region::Tcdm) => any_pending = true,
                 Some(Region::Main) => {
                     any_pending = true;
                     main_routed |= 1 << slot;
-                    main_ports.push(port);
                 }
                 Some(other) => panic!("cluster request to unsupported region {other:?}"),
             }
@@ -512,7 +518,9 @@ impl Cluster {
         // The memories are idle when no port carries a request and the
         // DMA claimed no bank this cycle.
         self.idle_mem = !any_pending && !self.dma_claimed.iter().any(|&c| c);
-        main.tick(now, &mut main_ports);
+        if main_routed != 0 {
+            main.tick(now, &mut self.ports, !main_routed);
+        }
         // Billed to "mem" with zero units: tick_mem records the class's
         // one unit-tick per cycle.
         host::phase(&mut host_t, "mem", 0, 0);
@@ -523,16 +531,7 @@ impl Cluster {
     pub fn tick_mem(&mut self) -> TickActivity {
         let now = self.now;
         let mut host_t = host::phase_start();
-        let mut main_routed = self.main_routed;
-        let mut tcdm_ports: Vec<&mut MemPort> = Vec::new();
-        for port in self.ports.iter_mut().flatten() {
-            let routed_main = main_routed & 1 != 0;
-            main_routed >>= 1;
-            if !routed_main {
-                tcdm_ports.push(port);
-            }
-        }
-        self.tcdm.tick(now, &mut tcdm_ports, &self.dma_claimed);
+        self.tcdm.tick(now, &mut self.ports, self.main_routed, &self.dma_claimed);
         host::phase(&mut host_t, "mem", 1, u64::from(self.idle_mem));
         self.sample_recorders(now);
         self.now += 1;

@@ -5,6 +5,7 @@
 //! valid/ready handshake: callers must check capacity first, as the RTL
 //! would assert back-pressure.
 
+use crate::lane::IDX_FIFO_DEPTH;
 use std::collections::VecDeque;
 
 /// Bounded FIFO with occupancy statistics.
@@ -93,6 +94,58 @@ impl<T> Fifo<T> {
     }
 }
 
+/// The index-word FIFO of an indirection unit, joiner or SpAcc feed:
+/// [`IDX_FIFO_DEPTH`] words stored inline, so launching a job does not
+/// touch the heap.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdxFifo {
+    words: [u64; IDX_FIFO_DEPTH],
+    head: usize,
+    len: usize,
+}
+
+impl IdxFifo {
+    /// Current number of words.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the FIFO holds no words.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Free slots remaining.
+    #[must_use]
+    pub fn free(&self) -> usize {
+        IDX_FIFO_DEPTH - self.len
+    }
+
+    /// Pushes a word.
+    ///
+    /// # Panics
+    /// Panics if the FIFO is full — callers reserve a slot (via
+    /// [`Self::free`]) before requesting the word.
+    pub fn push(&mut self, word: u64) {
+        assert!(self.len < IDX_FIFO_DEPTH, "index FIFO overflow"); // gate-allow: documented precondition; callers reserve a slot via free()
+        self.words[(self.head + self.len) % IDX_FIFO_DEPTH] = word;
+        self.len += 1;
+    }
+
+    /// Pops the oldest word, if any.
+    pub fn pop(&mut self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let word = self.words[self.head];
+        self.head = (self.head + 1) % IDX_FIFO_DEPTH;
+        self.len -= 1;
+        Some(word)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +173,24 @@ mod tests {
         let mut f = Fifo::new(1);
         f.push(1);
         f.push(2);
+    }
+
+    #[test]
+    fn idx_fifo_wraps_in_order() {
+        let mut f = IdxFifo::default();
+        for round in 0..3u64 {
+            for k in 0..IDX_FIFO_DEPTH as u64 {
+                f.push(round * 10 + k);
+            }
+            assert_eq!(f.free(), 0);
+            assert_eq!(f.pop(), Some(round * 10));
+            f.push(99);
+            for k in 1..IDX_FIFO_DEPTH as u64 {
+                assert_eq!(f.pop(), Some(round * 10 + k));
+            }
+            assert_eq!(f.pop(), Some(99));
+            assert!(f.is_empty() && f.pop().is_none());
+        }
     }
 
     #[test]

@@ -26,8 +26,7 @@
 use crate::affine::AffineIterator;
 use crate::cfg::{JoinerMode, JoinerSpec};
 use crate::fault::{StreamFaultKind, STREAM_WATCHDOG_RESET};
-use crate::fifo::Fifo;
-use crate::lane::IDX_FIFO_DEPTH;
+use crate::fifo::IdxFifo;
 use crate::serializer::{IndexSerializer, IndexSize};
 use issr_mem::port::{MemPort, MemReq};
 use std::collections::VecDeque;
@@ -89,7 +88,7 @@ type OutSlot = Option<u64>;
 #[derive(Debug)]
 struct Side {
     word_it: AffineIterator,
-    idx_fifo: Fifo<u64>,
+    idx_fifo: IdxFifo,
     serializer: IndexSerializer,
     outstanding_idx: usize,
     idx_size: IndexSize,
@@ -120,7 +119,7 @@ impl Side {
         }
         Self {
             word_it,
-            idx_fifo: Fifo::new(IDX_FIFO_DEPTH),
+            idx_fifo: IdxFifo::default(),
             serializer: IndexSerializer::new(idx_size, idx_base, count),
             outstanding_idx: 0,
             idx_size,
@@ -668,13 +667,13 @@ mod tests {
             count_b: idcs_b.len() as u64,
         };
         let mut joiner = IndexJoiner::new(&spec);
-        let mut pa = MemPort::new();
-        let mut pb = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         let mut cycles = 0;
         for now in 0..100_000u64 {
-            joiner.tick(now, &mut pa, &mut pb);
-            tcdm.tick(now, &mut [&mut pa, &mut pb], &[]);
+            let [pa, pb] = &mut ports;
+            joiner.tick(now, pa, pb);
+            tcdm.tick(now, &mut ports, 0, &[]);
             while joiner.a_ready() {
                 out_a.push(joiner.pop_a());
             }
@@ -828,12 +827,12 @@ mod tests {
             count_b: 4,
         };
         let mut joiner = IndexJoiner::new(&spec);
-        let mut pa = MemPort::new();
-        let mut pb = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         for now in 0..10_000u64 {
-            joiner.tick(now, &mut pa, &mut pb);
-            tcdm.tick(now, &mut [&mut pa, &mut pb], &[]);
+            let [pa, pb] = &mut ports;
+            joiner.tick(now, pa, pb);
+            tcdm.tick(now, &mut ports, 0, &[]);
             while joiner.a_ready() {
                 out_a.push(joiner.pop_a());
             }
@@ -870,11 +869,11 @@ mod tests {
         };
         let mut joiner = IndexJoiner::new(&spec);
         joiner.set_watchdog(64);
-        let mut pa = MemPort::new();
-        let mut pb = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         for now in 0..5000u64 {
-            joiner.tick(now, &mut pa, &mut pb);
-            tcdm.tick(now, &mut [&mut pa, &mut pb], &[]);
+            let [pa, pb] = &mut ports;
+            joiner.tick(now, pa, pb);
+            tcdm.tick(now, &mut ports, 0, &[]);
             if joiner.fault().is_some() && joiner.is_done() {
                 break;
             }
@@ -911,12 +910,12 @@ mod tests {
             count_b: b.len() as u64,
         };
         let mut joiner = IndexJoiner::new(&spec);
-        let mut pa = MemPort::new();
-        let mut pb = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         for now in 0..100_000u64 {
-            joiner.tick(now, &mut pa, &mut pb);
-            tcdm.tick(now, &mut [&mut pa, &mut pb], &[]);
+            let [pa, pb] = &mut ports;
+            joiner.tick(now, pa, pb);
+            tcdm.tick(now, &mut ports, 0, &[]);
             if now % 5 == 0 && joiner.a_ready() && joiner.b_ready() {
                 out_a.push(joiner.pop_a());
                 out_b.push(joiner.pop_b());

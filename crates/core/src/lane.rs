@@ -12,7 +12,7 @@
 
 use crate::affine::AffineIterator;
 use crate::cfg::{reg, CfgShadow, JobKind, JobSpec, Pattern};
-use crate::fifo::Fifo;
+use crate::fifo::{Fifo, IdxFifo};
 use crate::serializer::{IndexSerializer, IndexSize};
 use issr_mem::port::{MemPort, MemReq};
 use issr_trace::StallCause;
@@ -69,7 +69,7 @@ enum RspTag {
 #[derive(Debug)]
 struct IndirectUnit {
     word_it: AffineIterator,
-    idx_fifo: Fifo<u64>,
+    idx_fifo: IdxFifo,
     serializer: IndexSerializer,
     outstanding_idx: usize,
     idx_size: IndexSize,
@@ -88,7 +88,7 @@ impl IndirectUnit {
         let word_it = AffineIterator::linear(idx_base & !7, words.max(1) as u32, 8);
         let mut unit = Self {
             word_it,
-            idx_fifo: Fifo::new(IDX_FIFO_DEPTH),
+            idx_fifo: IdxFifo::default(),
             serializer: IndexSerializer::new(idx_size, idx_base, count),
             outstanding_idx: 0,
             idx_size,
@@ -222,6 +222,7 @@ impl Lane {
     /// Whether the lane has fully drained (no job, no queued job, no data
     /// in flight or buffered).
     #[must_use]
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.job.is_none()
             && self.pending.is_none()
@@ -243,6 +244,7 @@ impl Lane {
     /// streamer uses this to decide when the joiner may take over the
     /// lane's port.
     #[must_use]
+    #[inline]
     pub fn is_streaming(&self) -> bool {
         self.job.is_some()
             || self.pending.is_some()
@@ -330,6 +332,7 @@ impl Lane {
 
     /// Whether a stream read of this lane's register would succeed now.
     #[must_use]
+    #[inline]
     pub fn can_pop(&self) -> bool {
         !self.data_fifo.is_empty()
     }
@@ -338,6 +341,7 @@ impl Lane {
     ///
     /// # Panics
     /// Panics if no data is available (check [`Self::can_pop`]).
+    #[inline]
     pub fn pop(&mut self) -> u64 {
         let &(value, repeat) = self.data_fifo.front().expect("stream register read while empty");
         self.head_served += 1;
@@ -351,6 +355,7 @@ impl Lane {
 
     /// Whether a stream write of this lane's register would succeed now.
     #[must_use]
+    #[inline]
     pub fn can_push(&self) -> bool {
         !self.data_fifo.is_full()
     }
@@ -360,6 +365,7 @@ impl Lane {
     ///
     /// # Panics
     /// Panics if the FIFO is full (check [`Self::can_push`]).
+    #[inline]
     pub fn push(&mut self, value: u64) {
         self.data_fifo.push((value, 0));
         self.stats.fpu_writes += 1;
@@ -437,6 +443,7 @@ impl Lane {
     /// once per ROI cycle, so the breakdown sums to the ROI length by
     /// construction.
     #[must_use]
+    #[inline]
     pub fn attr_cause(&self) -> StallCause {
         if self.frozen {
             return StallCause::Parked;
@@ -612,7 +619,7 @@ mod tests {
         let mut out = Vec::new();
         for now in 0..max_cycles {
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             while lane.can_pop() {
                 out.push(lane.pop());
             }
@@ -655,7 +662,7 @@ mod tests {
         let mut cycles = 0u64;
         for now in 0..500u64 {
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if lane.can_pop() {
                 lane.pop();
                 popped += 1;
@@ -701,7 +708,7 @@ mod tests {
                 pushed += 1;
             }
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if pushed == 4 && lane.is_idle() {
                 break;
             }
@@ -812,7 +819,7 @@ mod tests {
                 sent += 1;
             }
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if sent == values.len() && lane.is_idle() {
                 break;
             }
@@ -844,7 +851,7 @@ mod tests {
         let mut cycles = 0u64;
         for now in 0..5000u64 {
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if lane.can_pop() {
                 lane.pop();
                 popped += 1;
@@ -882,7 +889,7 @@ mod tests {
         let mut cycles = 0u64;
         for now in 0..5000u64 {
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if lane.can_pop() {
                 lane.pop();
                 popped += 1;
@@ -918,7 +925,9 @@ mod tests {
         assert_eq!(lane.stats().jobs, 2);
     }
 
+    /// The check is a `debug_assert!`, so it only fires in debug builds.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "plain SSR lane")]
     fn indirection_on_ssr_lane_panics() {
         let mut lane = Lane::new(LaneKind::Ssr);

@@ -91,8 +91,8 @@
 use crate::affine::AffineIterator;
 use crate::cfg::{AccDrainSpec, AccFeedSpec};
 use crate::fault::{StreamFaultKind, STREAM_WATCHDOG_RESET};
-use crate::fifo::Fifo;
-use crate::lane::{Lane, IDX_FIFO_DEPTH};
+use crate::fifo::IdxFifo;
+use crate::lane::Lane;
 use crate::serializer::{IndexSerializer, IndexSize};
 use issr_mem::port::{MemPort, MemReq};
 use std::collections::VecDeque;
@@ -170,7 +170,7 @@ enum FeedStep {
 #[derive(Debug)]
 struct FeedRun {
     word_it: AffineIterator,
-    idx_fifo: Fifo<u64>,
+    idx_fifo: IdxFifo,
     serializer: IndexSerializer,
     outstanding_idx: usize,
     idx_size: IndexSize,
@@ -204,7 +204,7 @@ impl FeedRun {
         }
         Self {
             word_it,
-            idx_fifo: Fifo::new(IDX_FIFO_DEPTH),
+            idx_fifo: IdxFifo::default(),
             serializer: IndexSerializer::new(spec.idx_size, spec.idx_base, spec.count),
             outstanding_idx: 0,
             idx_size: spec.idx_size,
@@ -778,7 +778,7 @@ mod tests {
                 next += 1;
             }
             spacc.tick(now, &mut port, lane);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if spacc.is_idle() && next == vals.len() {
                 return now + 1;
             }
@@ -878,7 +878,7 @@ mod tests {
                 pushed += 1;
             }
             spacc.tick(now, &mut port, &mut lane);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             cycles = now + 1;
             if spacc.is_idle() && pushed == n {
                 break;

@@ -204,6 +204,7 @@ impl Streamer {
     /// core-complex delivery path: the core parks on the trap and the
     /// FPU subsystem squashes). Later calls return `None`; the fault
     /// itself stays latched and the streamer stays frozen.
+    #[inline]
     pub fn take_stream_fault(&mut self) -> Option<StreamFault> {
         if self.fault_delivered {
             return None;
@@ -240,6 +241,7 @@ impl Streamer {
     /// (`frep.s`) poll to end a data-dependent loop without a
     /// pre-counted trip.
     #[must_use]
+    #[inline]
     pub fn read_stream_terminated(&self, lane: usize) -> bool {
         if lane <= 1 && (self.joiner.is_some() || self.pending_join.is_some()) {
             return false;
@@ -266,6 +268,7 @@ impl Streamer {
 
     /// The lane a floating-point register redirects to, if any.
     #[must_use]
+    #[inline]
     pub fn lane_of_reg(&self, fp_reg: u8) -> Option<usize> {
         if self.enabled && (fp_reg as usize) < self.lanes.len() {
             Some(fp_reg as usize)
@@ -276,11 +279,13 @@ impl Streamer {
 
     /// Immutable lane access.
     #[must_use]
+    #[inline]
     pub fn lane(&self, index: usize) -> &Lane {
         &self.lanes[index]
     }
 
     /// Mutable lane access (register-file side uses this to pop/push).
+    #[inline]
     pub fn lane_mut(&mut self, index: usize) -> &mut Lane {
         &mut self.lanes[index]
     }
@@ -398,6 +403,7 @@ impl Streamer {
     /// watchdog) — latch a [`StreamFault`] and freeze the streamer
     /// instead of panicking; the frozen units drain their in-flight
     /// traffic and the streamer settles to idle.
+    #[inline]
     pub fn tick(&mut self, now: u64, first: &mut MemPort, rest: &mut [MemPort]) {
         debug_assert_eq!(rest.len() + 1, self.lanes.len(), "one port per lane");
         if self.fault.is_none() {
@@ -494,6 +500,7 @@ impl Streamer {
     /// Whether every lane has fully drained and no joiner or SpAcc job
     /// is active or queued.
     #[must_use]
+    #[inline]
     pub fn is_idle(&self) -> bool {
         self.lanes.iter().all(Lane::is_idle)
             && self.joiner.is_none()
@@ -513,6 +520,7 @@ impl Streamer {
     ///   accumulator's cause, since the unit borrowing the port is what
     ///   the lane's cycles are spent on.
     #[must_use]
+    #[inline]
     pub fn lane_attr_cause(&self, i: usize) -> StallCause {
         let lane = &self.lanes[i];
         let base = lane.attr_cause();
@@ -540,6 +548,7 @@ impl Streamer {
 
     /// [`Streamer::attr_probe`] into a caller-owned probe, reusing its
     /// lane buffer — the per-cycle sampler path, kept allocation-free.
+    #[inline]
     pub fn attr_probe_into(&self, probe: &mut StreamerProbe) {
         probe.joiner = match &self.joiner {
             Some(joiner) => joiner.attr_cause(),
@@ -630,14 +639,14 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 1), a_idcs).unwrap());
         s.set_enabled(true);
 
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let mut dot = 0.0f64;
         let mut pairs = 0u32;
         let mut cycles = 0u64;
         for now in 0..2000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.lane(0).can_pop() && s.lane(1).can_pop() {
                 let a = f64::from_bits(s.lane_mut(0).pop());
                 let x = f64::from_bits(s.lane_mut(1).pop());
@@ -706,12 +715,12 @@ mod tests {
         let mut s = Streamer::sssr_config();
         assert!(configure_join(&mut s, JoinerMode::Intersect, 3, 4));
         s.set_enabled(true);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let mut pairs = Vec::new();
         for now in 0..2000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.lane(0).can_pop() && s.lane(1).can_pop() {
                 pairs.push((s.lane_mut(0).pop(), s.lane_mut(1).pop()));
             }
@@ -739,12 +748,12 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE + 0x1000).unwrap());
         assert!(!s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE + 0x1000).unwrap());
         s.set_enabled(true);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let mut pairs = 0;
         for now in 0..4000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.lane(0).can_pop() && s.lane(1).can_pop() {
                 let _ = s.lane_mut(0).pop();
                 let _ = s.lane_mut(1).pop();
@@ -778,11 +787,11 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::JOIN_NNZ_A, 0), 4).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::JOIN_NNZ_B, 0), 4).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 0), BASE + 0x1000).unwrap());
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         for now in 0..2000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             assert!(!s.lane(0).can_pop() && !s.lane(1).can_pop(), "no values may be delivered");
             if s.is_idle() {
                 break;
@@ -813,8 +822,7 @@ mod tests {
             !s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1100).unwrap(),
             "queue is one deep"
         );
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let vals = [1.0f64, 2.0, 10.0, 20.0];
         let mut next = 0;
         for now in 0..2000u64 {
@@ -822,8 +830,9 @@ mod tests {
                 s.lane_mut(1).push(vals[next].to_bits());
                 next += 1;
             }
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.is_idle() && next == vals.len() {
                 break;
             }
@@ -836,8 +845,9 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::ACC_DRAIN, 0), BASE + 0x4000).unwrap());
         assert_eq!(s.cfg_read(cfg_addr(reg::ACC_STATUS, 0)).unwrap() & 2, 2, "drain busy");
         for now in 2000..4000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.is_idle() {
                 break;
             }
@@ -915,11 +925,11 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1000).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 2).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x1100).unwrap());
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         for now in 0..2000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.is_idle() {
                 break;
             }
@@ -973,11 +983,11 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::BOUNDS[0], 1), 3).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::STRIDES[0], 1), 8).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::RPTR[0], 1), BASE).unwrap());
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         for now in 0..200u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.stream_fault().is_some() && s.is_idle() {
                 break;
             }
@@ -1003,11 +1013,11 @@ mod tests {
         assert!(s.cfg_write(cfg_addr(reg::ACC_COUNT, 0), 4).unwrap());
         assert!(s.cfg_write(cfg_addr(reg::ACC_FEED, 0), BASE + 0x3000).unwrap());
         assert!(configure_join(&mut s, JoinerMode::Intersect, 2, 2));
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         for now in 0..200u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             if s.stream_fault().is_some() && s.is_idle() {
                 break;
             }
@@ -1035,13 +1045,13 @@ mod tests {
         // Then the joiner job; it must wait for the affine stream.
         assert!(configure_join(&mut s, JoinerMode::GatherA, 2, 1));
         s.set_enabled(true);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         let mut lane0 = Vec::new();
         let mut lane1 = Vec::new();
         for now in 0..4000u64 {
-            s.tick(now, &mut p0, std::slice::from_mut(&mut p1));
-            tcdm.tick(now, &mut [&mut p0, &mut p1], &[]);
+            let [p0, p1] = &mut ports;
+            s.tick(now, p0, std::slice::from_mut(p1));
+            tcdm.tick(now, &mut ports, 0, &[]);
             while s.lane(0).can_pop() {
                 lane0.push(s.lane_mut(0).pop());
             }

@@ -57,12 +57,12 @@ fn run_joiner(
         count_b: idcs_b.len() as u64,
     };
     let mut joiner = IndexJoiner::new(&spec);
-    let mut pa = MemPort::new();
-    let mut pb = MemPort::new();
+    let mut ports = [MemPort::new(), MemPort::new()];
     let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
     for now in 0..200_000u64 {
-        joiner.tick(now, &mut pa, &mut pb);
-        tcdm.tick(now, &mut [&mut pa, &mut pb], &[]);
+        let [pa, pb] = &mut ports;
+        joiner.tick(now, pa, pb);
+        tcdm.tick(now, &mut ports, 0, &[]);
         while joiner.a_ready() {
             out_a.push(joiner.pop_a());
         }

@@ -18,7 +18,7 @@ fn drain(lane: &mut Lane, tcdm: &mut Tcdm, expect: usize) -> Vec<u64> {
     let mut out = Vec::new();
     for now in 0..200_000u64 {
         lane.tick(now, &mut port);
-        tcdm.tick(now, &mut [&mut port], &[]);
+        tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
         while lane.can_pop() {
             out.push(lane.pop());
         }
@@ -132,7 +132,7 @@ proptest! {
         let mut got = 0u32;
         for now in 0..50_000u64 {
             lane.tick(now, &mut port);
-            tcdm.tick(now, &mut [&mut port], &[]);
+            tcdm.tick(now, std::slice::from_mut(&mut port), 0, &[]);
             if now % stall == 0 && lane.can_pop() {
                 lane.pop();
                 got += 1;

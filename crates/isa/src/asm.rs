@@ -63,6 +63,7 @@ pub struct Program {
 impl Program {
     /// The instructions, indexed by `pc / 4`.
     #[must_use]
+    #[inline]
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
     }

@@ -307,6 +307,7 @@ impl Instr {
     /// Returns `true` if the instruction executes in the FPU subsystem
     /// (and is therefore eligible for FREP bodies and pseudo-dual-issue).
     #[must_use]
+    #[inline]
     pub fn is_fp(&self) -> bool {
         matches!(
             self,

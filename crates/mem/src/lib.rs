@@ -20,7 +20,7 @@
 //! tcdm.array_mut().store_f64(0x0010_0000, 3.5);
 //! let mut port = MemPort::new();
 //! port.send(MemReq::read(0x0010_0000));
-//! tcdm.tick(0, &mut [&mut port], &[]);
+//! tcdm.tick(0, std::slice::from_mut(&mut port), 0, &[]);
 //! let rsp = port.take_rsp(1).expect("single-cycle TCDM");
 //! assert_eq!(f64::from_bits(rsp.data), 3.5);
 //! ```

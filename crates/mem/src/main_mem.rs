@@ -152,9 +152,14 @@ impl MainMemory {
 
     /// Serves narrow (64-bit) ports; one request per port per cycle, fixed
     /// latency, no contention (the crossbar is not the bottleneck in the
-    /// paper's setup).
-    pub fn tick(&mut self, now: u64, ports: &mut [&mut MemPort]) {
-        for port in ports.iter_mut() {
+    /// paper's setup). Slots whose bit is set in `skip_mask` are left
+    /// alone (a cluster skips every slot it did not route here); the
+    /// rest are served in slot order, which is the fetch-and-add order.
+    pub fn tick(&mut self, now: u64, ports: &mut [MemPort], skip_mask: u64) {
+        for (slot, port) in ports.iter_mut().enumerate() {
+            if slot < 64 && skip_mask >> slot & 1 != 0 {
+                continue;
+            }
             if let Some(req) = port.take_pending() {
                 self.stats.narrow_accesses += 1;
                 debug_assert!(
@@ -233,7 +238,7 @@ mod tests {
         mem.array_mut().store_u64(0x8000_0010, 99);
         let mut p = MemPort::new();
         p.send(MemReq::read(0x8000_0010));
-        mem.tick(0, &mut [&mut p]);
+        mem.tick(0, std::slice::from_mut(&mut p), 0);
         assert_eq!(p.take_rsp(9), None);
         assert_eq!(p.take_rsp(10).unwrap().data, 99);
         assert_eq!(mem.narrow_accesses(), 1);
@@ -252,7 +257,7 @@ mod tests {
         let mut mem = MainMemory::new(0, 128);
         let mut p = MemPort::new();
         p.send(MemReq::write(0x18, 0xAB));
-        mem.tick(3, &mut [&mut p]);
+        mem.tick(3, std::slice::from_mut(&mut p), 0);
         assert_eq!(mem.array().load_u64(0x18), 0xAB);
     }
 
@@ -279,13 +284,13 @@ mod tests {
         for expect in 0..3u64 {
             let mut p = MemPort::new();
             p.send(MemReq::read(0x40));
-            mem.tick(0, &mut [&mut p]);
+            mem.tick(0, std::slice::from_mut(&mut p), 0);
             assert_eq!(p.take_rsp(1).unwrap().data, expect);
         }
         // Ordinary reads elsewhere do not increment.
         let mut p = MemPort::new();
         p.send(MemReq::read(0x48));
-        mem.tick(0, &mut [&mut p]);
+        mem.tick(0, std::slice::from_mut(&mut p), 0);
         assert_eq!(p.take_rsp(1).unwrap().data, 0);
         assert_eq!(mem.array().load_u64(0x48), 0);
     }
@@ -294,13 +299,15 @@ mod tests {
     fn two_ports_claim_distinct_tickets_in_one_cycle() {
         let mut mem = MainMemory::new(0, 128).with_narrow_latency(1);
         mem.set_fetch_add_word(0x10);
-        let mut a = MemPort::new();
-        let mut b = MemPort::new();
-        a.send(MemReq::read(0x10));
-        b.send(MemReq::read(0x10));
-        mem.tick(0, &mut [&mut a, &mut b]);
-        let ta = a.take_rsp(1).unwrap().data;
-        let tb = b.take_rsp(1).unwrap().data;
+        let mut ports = [MemPort::new(), MemPort::new(), MemPort::new()];
+        for p in &mut ports {
+            p.send(MemReq::read(0x10));
+        }
+        // Slot 1 is skipped: it keeps its request and draws no ticket.
+        mem.tick(0, &mut ports, 0b010);
+        let ta = ports[0].take_rsp(1).unwrap().data;
+        let tb = ports[2].take_rsp(1).unwrap().data;
         assert_eq!((ta, tb), (0, 1), "claims must serialize");
+        assert!(ports[1].pending().is_some());
     }
 }

@@ -29,12 +29,14 @@ pub struct MemReq {
 impl MemReq {
     /// Convenience constructor for a read.
     #[must_use]
+    #[inline]
     pub fn read(addr: u32) -> Self {
         Self { addr, op: MemOp::Read }
     }
 
     /// Convenience constructor for a full-word write.
     #[must_use]
+    #[inline]
     pub fn write(addr: u32, data: u64) -> Self {
         Self { addr, op: MemOp::Write { data, strb: 0xFF } }
     }
@@ -47,6 +49,7 @@ impl MemReq {
 
     /// Whether this is a read.
     #[must_use]
+    #[inline]
     pub fn is_read(&self) -> bool {
         matches!(self.op, MemOp::Read)
     }
@@ -82,6 +85,7 @@ impl MemPort {
 
     /// Whether the master can place a new request this cycle.
     #[must_use]
+    #[inline]
     pub fn can_send(&self) -> bool {
         self.pending.is_none()
     }
@@ -90,6 +94,7 @@ impl MemPort {
     ///
     /// # Panics
     /// Panics if the port is already occupied (check [`Self::can_send`]).
+    #[inline]
     pub fn send(&mut self, req: MemReq) {
         assert!(self.pending.is_none(), "port already has a pending request"); // gate-allow: protocol invariant: one request in flight per port
         self.pending = Some(req);
@@ -97,11 +102,13 @@ impl MemPort {
 
     /// The request currently waiting for a grant, if any (memory side).
     #[must_use]
+    #[inline]
     pub fn pending(&self) -> Option<&MemReq> {
         self.pending.as_ref()
     }
 
     /// Memory side: consumes the pending request after granting it.
+    #[inline]
     pub fn take_pending(&mut self) -> Option<MemReq> {
         let req = self.pending.take();
         if let Some(r) = &req {
@@ -115,12 +122,14 @@ impl MemPort {
     }
 
     /// Memory side: records one cycle of arbitration back-pressure.
+    #[inline]
     pub fn note_wait(&mut self) {
         self.wait_cycles += 1;
     }
 
     /// Memory side: enqueues a response that becomes visible to the
     /// master at `ready_cycle`.
+    #[inline]
     pub fn push_rsp(&mut self, ready_cycle: u64, rsp: MemRsp) {
         debug_assert!(
             self.rsps.back().is_none_or(|&(t, _)| t <= ready_cycle),
@@ -130,6 +139,7 @@ impl MemPort {
     }
 
     /// Master side: pops the next response if it is ready at `now`.
+    #[inline]
     pub fn take_rsp(&mut self, now: u64) -> Option<MemRsp> {
         match self.rsps.front() {
             Some(&(ready, rsp)) if ready <= now => {
@@ -142,6 +152,7 @@ impl MemPort {
 
     /// Number of responses queued (in flight).
     #[must_use]
+    #[inline]
     pub fn in_flight(&self) -> usize {
         self.rsps.len() + usize::from(self.pending.is_some())
     }

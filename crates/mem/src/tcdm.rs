@@ -90,6 +90,7 @@ impl Tcdm {
 
     /// Bank index of a byte address (word-interleaved).
     #[must_use]
+    #[inline]
     pub fn bank_of(&self, addr: u32) -> usize {
         ((addr / 8) as usize) % self.n_banks
     }
@@ -97,103 +98,108 @@ impl Tcdm {
     /// Services the ports for one cycle.
     ///
     /// `now` is the current cycle; read responses become visible at
-    /// `now + 1`. `dma_claimed` marks banks the DMA engine occupies this
-    /// cycle (it has priority, as in the Snitch cluster); pass `&[]` when
-    /// no DMA is present. Accepts both owned port slices
-    /// (`&mut [MemPort]`) and collected references (`&mut [&mut
-    /// MemPort]`); the port's *position in the slice* is its identity
-    /// for round-robin arbitration.
-    pub fn tick<P: std::borrow::BorrowMut<MemPort>>(
-        &mut self,
-        now: u64,
-        ports: &mut [P],
-        dma_claimed: &[bool],
-    ) {
-        match self.rr_next.take() {
-            None => {
-                // Ideal memory: grant every pending request.
-                for port in ports.iter_mut() {
-                    let port = port.borrow_mut();
-                    if let Some(req) = port.take_pending() {
-                        self.serve(now, req, port);
-                    }
+    /// `now + 1`. Slots whose bit is set in `skip_mask` sit this cycle
+    /// out (a cluster skips the slots it routed to main memory); pass 0
+    /// to serve every slot. The remaining ports are compacted in slot
+    /// order, and a port's *compacted position* is its identity for
+    /// round-robin arbitration — exactly as if the skipped slots were
+    /// not in the slice. `dma_claimed` marks banks the DMA engine
+    /// occupies this cycle (it has priority, as in the Snitch cluster);
+    /// pass `&[]` when no DMA is present.
+    pub fn tick(&mut self, now: u64, ports: &mut [MemPort], skip_mask: u64, dma_claimed: &[bool]) {
+        // A cluster exposes well under 64 ports, so u64 masks suffice.
+        assert!(ports.len() <= 64, "port count must fit the arbitration mask"); // gate-allow: host-API construction precondition
+        let live = if ports.len() == 64 { u64::MAX } else { (1u64 << ports.len()) - 1 };
+        let mut serve_mask = live & !skip_mask;
+        let Some(mut rr) = self.rr_next.take() else {
+            // Ideal memory: grant every pending request.
+            while serve_mask != 0 {
+                let slot = serve_mask.trailing_zeros() as usize;
+                serve_mask &= serve_mask - 1;
+                if let Some(req) = ports[slot].take_pending() {
+                    self.serve(now, req, &mut ports[slot]);
                 }
             }
-            Some(mut rr) => {
-                let n = ports.len();
-                // Bitmask arbitration: one pass over the ports builds a
-                // per-bank contender mask, then each active bank grants
-                // in O(1) — the first contender at or after its
-                // round-robin pointer is two shifts and a trailing-zero
-                // count, with no rescan of the port list. Bank counts
-                // are powers of two and ≤ 64 in every configuration
-                // (the paper's cluster has 32), and a cluster exposes
-                // well under 64 ports, so u64 masks always suffice.
-                debug_assert!(self.n_banks <= 64, "bank mask width");
-                assert!(n <= 64, "port count must fit the arbitration mask"); // gate-allow: host-API construction precondition
-                let mut bank_ports = [0u64; 64];
-                let mut port_bank = [0u8; 64];
-                let mut active: u64 = 0;
-                let mut pending_mask: u64 = 0;
-                for (pi, port) in ports.iter_mut().enumerate() {
-                    if let Some(req) = port.borrow_mut().pending() {
-                        let bank = self.bank_of(req.addr);
-                        active |= 1 << bank;
-                        bank_ports[bank] |= 1 << pi;
-                        port_bank[pi] = bank as u8;
-                        pending_mask |= 1 << pi;
-                    }
-                }
-                if pending_mask == 0 {
-                    self.rr_next = Some(rr);
-                    return;
-                }
-                let mut served_mask: u64 = 0;
-                // Each active bank (ascending) grants its first
-                // contender at or after the round-robin pointer,
-                // wrapping. A port carries at most one request, so the
-                // contender is still pending when its bank is reached.
-                while active != 0 {
-                    let bank = active.trailing_zeros() as usize;
-                    active &= active - 1;
-                    if dma_claimed.get(bank).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let m = bank_ports[bank];
-                    // The pointer may exceed the current port count (the
-                    // slice shrinks when ports route to main memory);
-                    // the scan always started from `rr % n`.
-                    let start = rr[bank] % n;
-                    let wrapped = m >> start;
-                    let pi = if wrapped != 0 {
-                        start + wrapped.trailing_zeros() as usize
-                    } else {
-                        m.trailing_zeros() as usize
-                    };
-                    let port = ports[pi].borrow_mut();
-                    let req = port.take_pending().expect("contender tracked pending");
-                    self.serve(now, req, port);
-                    rr[bank] = (pi + 1) % n;
-                    served_mask |= 1 << pi;
-                }
-                // Count contention on ports still pending.
-                let mut waiting = pending_mask & !served_mask;
-                while waiting != 0 {
-                    let pi = waiting.trailing_zeros() as usize;
-                    waiting &= waiting - 1;
-                    let bank = usize::from(port_bank[pi]);
-                    if dma_claimed.get(bank).copied().unwrap_or(false) {
-                        self.stats.dma_conflicts += 1;
-                    } else {
-                        self.stats.conflicts += 1;
-                    }
-                    ports[pi].borrow_mut().note_wait();
-                }
-                self.rr_next = Some(rr);
+            return;
+        };
+        // Compact the served slots: `slot_of[pi]` is the slot at
+        // round-robin position `pi`.
+        let mut slot_of = [0u8; 64];
+        let mut n = 0;
+        while serve_mask != 0 {
+            slot_of[n] = serve_mask.trailing_zeros() as u8;
+            serve_mask &= serve_mask - 1;
+            n += 1;
+        }
+        // Bitmask arbitration: one pass over the ports builds a per-bank
+        // contender mask, then each active bank grants in O(1) — the
+        // first contender at or after its round-robin pointer is two
+        // shifts and a trailing-zero count, with no rescan of the port
+        // list. Bank counts are powers of two and ≤ 64 in every
+        // configuration (the paper's cluster has 32).
+        debug_assert!(self.n_banks <= 64, "bank mask width");
+        let mut bank_ports = [0u64; 64];
+        let mut port_bank = [0u8; 64];
+        let mut active: u64 = 0;
+        let mut pending_mask: u64 = 0;
+        for pi in 0..n {
+            if let Some(req) = ports[usize::from(slot_of[pi])].pending() {
+                let bank = self.bank_of(req.addr);
+                active |= 1 << bank;
+                bank_ports[bank] |= 1 << pi;
+                port_bank[pi] = bank as u8;
+                pending_mask |= 1 << pi;
             }
         }
+        if pending_mask == 0 {
+            self.rr_next = Some(rr);
+            return;
+        }
+        let mut served_mask: u64 = 0;
+        // Each active bank (ascending) grants its first contender at or
+        // after the round-robin pointer, wrapping. A port carries at
+        // most one request, so the contender is still pending when its
+        // bank is reached.
+        while active != 0 {
+            let bank = active.trailing_zeros() as usize;
+            active &= active - 1;
+            if dma_claimed.get(bank).copied().unwrap_or(false) {
+                continue;
+            }
+            let m = bank_ports[bank];
+            // The pointer may exceed the current port count (fewer
+            // ports are served when some route to main memory); the
+            // scan always starts from `rr % n`.
+            let start = rr[bank] % n;
+            let wrapped = m >> start;
+            let pi = if wrapped != 0 {
+                start + wrapped.trailing_zeros() as usize
+            } else {
+                m.trailing_zeros() as usize
+            };
+            let port = &mut ports[usize::from(slot_of[pi])];
+            let req = port.take_pending().expect("contender tracked pending");
+            self.serve(now, req, port);
+            rr[bank] = (pi + 1) % n;
+            served_mask |= 1 << pi;
+        }
+        // Count contention on ports still pending.
+        let mut waiting = pending_mask & !served_mask;
+        while waiting != 0 {
+            let pi = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let bank = usize::from(port_bank[pi]);
+            if dma_claimed.get(bank).copied().unwrap_or(false) {
+                self.stats.dma_conflicts += 1;
+            } else {
+                self.stats.conflicts += 1;
+            }
+            ports[usize::from(slot_of[pi])].note_wait();
+        }
+        self.rr_next = Some(rr);
     }
 
+    #[inline]
     fn serve(&mut self, now: u64, req: crate::port::MemReq, port: &mut MemPort) {
         self.stats.grants += 1;
         debug_assert!(self.array.contains(req.addr), "TCDM access {:#010x} out of range", req.addr);
@@ -219,13 +225,12 @@ mod tests {
         let mut tcdm = Tcdm::ideal(0, 256);
         tcdm.array_mut().store_u64(0x10, 42);
         tcdm.array_mut().store_u64(0x18, 43);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
-        p0.send(MemReq::read(0x10));
-        p1.send(MemReq::read(0x18));
-        tcdm.tick(0, &mut [&mut p0, &mut p1], &[]);
-        assert_eq!(p0.take_rsp(1).unwrap().data, 42);
-        assert_eq!(p1.take_rsp(1).unwrap().data, 43);
+        let mut ports = [MemPort::new(), MemPort::new()];
+        ports[0].send(MemReq::read(0x10));
+        ports[1].send(MemReq::read(0x18));
+        tcdm.tick(0, &mut ports, 0, &[]);
+        assert_eq!(ports[0].take_rsp(1).unwrap().data, 42);
+        assert_eq!(ports[1].take_rsp(1).unwrap().data, 43);
         assert_eq!(tcdm.stats().conflicts, 0);
     }
 
@@ -234,7 +239,7 @@ mod tests {
         let mut tcdm = Tcdm::ideal(0, 64);
         let mut p = MemPort::new();
         p.send(MemReq::read(0x0));
-        tcdm.tick(7, &mut [&mut p], &[]);
+        tcdm.tick(7, std::slice::from_mut(&mut p), 0, &[]);
         assert_eq!(p.take_rsp(7), None);
         assert!(p.take_rsp(8).is_some());
     }
@@ -245,47 +250,63 @@ mod tests {
         let mut tcdm = Tcdm::banked(0, 256, 2);
         tcdm.array_mut().store_u64(0x00, 1);
         tcdm.array_mut().store_u64(0x10, 2);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
-        p0.send(MemReq::read(0x00));
-        p1.send(MemReq::read(0x10));
-        tcdm.tick(0, &mut [&mut p0, &mut p1], &[]);
+        let mut ports = [MemPort::new(), MemPort::new()];
+        ports[0].send(MemReq::read(0x00));
+        ports[1].send(MemReq::read(0x10));
+        tcdm.tick(0, &mut ports, 0, &[]);
         // Exactly one granted, the other still pending.
-        let served = usize::from(p0.can_send()) + usize::from(p1.can_send());
+        let served = ports.iter().filter(|p| p.can_send()).count();
         assert_eq!(served, 1);
         assert_eq!(tcdm.stats().conflicts, 1);
-        tcdm.tick(1, &mut [&mut p0, &mut p1], &[]);
-        assert!(p0.can_send() && p1.can_send());
+        tcdm.tick(1, &mut ports, 0, &[]);
+        assert!(ports.iter().all(MemPort::can_send));
     }
 
     #[test]
     fn different_banks_proceed_in_parallel() {
         let mut tcdm = Tcdm::banked(0, 256, 2);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
-        p0.send(MemReq::read(0x00)); // bank 0
-        p1.send(MemReq::read(0x08)); // bank 1
-        tcdm.tick(0, &mut [&mut p0, &mut p1], &[]);
-        assert!(p0.can_send() && p1.can_send());
+        let mut ports = [MemPort::new(), MemPort::new()];
+        ports[0].send(MemReq::read(0x00)); // bank 0
+        ports[1].send(MemReq::read(0x08)); // bank 1
+        tcdm.tick(0, &mut ports, 0, &[]);
+        assert!(ports.iter().all(MemPort::can_send));
         assert_eq!(tcdm.stats().conflicts, 0);
     }
 
     #[test]
     fn round_robin_rotates_grants() {
         let mut tcdm = Tcdm::banked(0, 256, 1);
-        let mut p0 = MemPort::new();
-        let mut p1 = MemPort::new();
+        let mut ports = [MemPort::new(), MemPort::new()];
         // Cycle 0: both contend for bank 0; pointer starts at port 0.
-        p0.send(MemReq::read(0x00));
-        p1.send(MemReq::read(0x08));
-        tcdm.tick(0, &mut [&mut p0, &mut p1], &[]);
-        assert!(p0.can_send());
-        assert!(!p1.can_send());
+        ports[0].send(MemReq::read(0x00));
+        ports[1].send(MemReq::read(0x08));
+        tcdm.tick(0, &mut ports, 0, &[]);
+        assert!(ports[0].can_send());
+        assert!(!ports[1].can_send());
         // Cycle 1: p1 is granted; re-arm p0 — pointer now favours p1.
-        p0.send(MemReq::read(0x00));
-        tcdm.tick(1, &mut [&mut p0, &mut p1], &[]);
-        assert!(p1.can_send());
-        assert!(!p0.can_send());
+        ports[0].send(MemReq::read(0x00));
+        tcdm.tick(1, &mut ports, 0, &[]);
+        assert!(ports[1].can_send());
+        assert!(!ports[0].can_send());
+    }
+
+    #[test]
+    fn skipped_slots_are_neither_served_nor_counted() {
+        // One bank, three ports; the middle slot is skipped. The two
+        // served ports take round-robin positions 0 and 1.
+        let mut tcdm = Tcdm::banked(0, 256, 1);
+        let mut ports = [MemPort::new(), MemPort::new(), MemPort::new()];
+        for p in &mut ports {
+            p.send(MemReq::read(0x00));
+        }
+        tcdm.tick(0, &mut ports, 0b010, &[]);
+        assert!(ports[0].can_send(), "position 0 wins the first grant");
+        assert!(!ports[1].can_send() && ports[1].wait_cycles == 0, "skipped slot untouched");
+        assert_eq!(ports[2].wait_cycles, 1);
+        assert_eq!(tcdm.stats().conflicts, 1);
+        tcdm.tick(1, &mut ports, 0b010, &[]);
+        assert!(ports[2].can_send(), "pointer moved to position 1 (slot 2)");
+        assert!(!ports[1].can_send());
     }
 
     #[test]
@@ -293,10 +314,10 @@ mod tests {
         let mut tcdm = Tcdm::banked(0, 256, 2);
         let mut p = MemPort::new();
         p.send(MemReq::read(0x00)); // bank 0
-        tcdm.tick(0, &mut [&mut p], &[true, false]);
+        tcdm.tick(0, std::slice::from_mut(&mut p), 0, &[true, false]);
         assert!(!p.can_send());
         assert_eq!(tcdm.stats().dma_conflicts, 1);
-        tcdm.tick(1, &mut [&mut p], &[false, false]);
+        tcdm.tick(1, std::slice::from_mut(&mut p), 0, &[false, false]);
         assert!(p.can_send());
     }
 
@@ -305,7 +326,7 @@ mod tests {
         let mut tcdm = Tcdm::ideal(0x100, 64);
         let mut p = MemPort::new();
         p.send(MemReq::write(0x108, 0x55));
-        tcdm.tick(0, &mut [&mut p], &[]);
+        tcdm.tick(0, std::slice::from_mut(&mut p), 0, &[]);
         assert_eq!(tcdm.array().load_u64(0x108), 0x55);
     }
 

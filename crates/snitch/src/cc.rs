@@ -177,12 +177,14 @@ impl CoreComplex {
             &mut self.metrics,
             dma,
         );
-        // 3. FPU subsystem; deliver its integer results.
-        let int_wbs =
-            self.fpu.tick(now, &mut self.shared.fpu_lsu, &mut self.streamer, &mut self.metrics);
-        for wb in int_wbs {
-            self.core.apply_int_writeback(wb.reg, wb.value);
-        }
+        // 3. FPU subsystem; it delivers its integer results to the core.
+        self.fpu.tick(
+            now,
+            &mut self.shared.fpu_lsu,
+            &mut self.streamer,
+            &mut self.metrics,
+            &mut self.core,
+        );
         // 4. Streamer lanes: lane 0 rides the shared port's SSR leg,
         // the rest own their exclusive physical ports directly.
         {
@@ -466,6 +468,26 @@ impl SingleCcSim {
         }
     }
 
+    /// Advances the CC and its ideal memory one cycle.
+    pub fn tick(&mut self) {
+        let now = self.now;
+        // Host self-profiler (opt-in, read-only): the single CC is its
+        // own "workers" class, the ideal memory is "mem".
+        let mut host_t = issr_trace::host::phase_start();
+        let idle_cc = if host_t.is_some() { u64::from(self.cc.is_idle()) } else { 0 };
+        self.cc.tick(now, &mut self.ports, None, None);
+        issr_trace::host::phase(&mut host_t, "workers", 1, idle_cc);
+        let idle_mem = if host_t.is_some() {
+            u64::from(self.ports.iter().all(|p| p.pending().is_none()))
+        } else {
+            0
+        };
+        self.mem.tick(now, &mut self.ports, 0, &[]);
+        issr_trace::host::phase(&mut host_t, "mem", 1, idle_mem);
+        issr_trace::host::cycle();
+        self.now += 1;
+    }
+
     /// Runs until the CC is quiescent.
     ///
     /// # Errors
@@ -474,25 +496,7 @@ impl SingleCcSim {
     pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimTimeout> {
         let deadline = self.now + max_cycles;
         while self.now < deadline {
-            let now = self.now;
-            // Host self-profiler (opt-in, read-only): the single CC is
-            // its own "workers" class, the ideal memory is "mem".
-            let mut host_t = issr_trace::host::phase_start();
-            let idle_cc = if host_t.is_some() { u64::from(self.cc.is_idle()) } else { 0 };
-            self.cc.tick(now, &mut self.ports, None, None);
-            issr_trace::host::phase(&mut host_t, "workers", 1, idle_cc);
-            let idle_mem = if host_t.is_some() {
-                u64::from(self.ports.iter().all(|p| p.pending().is_none()))
-            } else {
-                0
-            };
-            {
-                let mut port_refs: Vec<&mut MemPort> = self.ports.iter_mut().collect();
-                self.mem.tick(now, &mut port_refs, &[]);
-            }
-            issr_trace::host::phase(&mut host_t, "mem", 1, idle_mem);
-            issr_trace::host::cycle();
-            self.now += 1;
+            self.tick();
             if self.cc.quiescent() {
                 return Ok(RunSummary {
                     cycles: self.now,
@@ -979,11 +983,7 @@ mod tests {
                 if sim.cc.is_idle() {
                     break;
                 }
-                let now = sim.now;
-                sim.cc.tick(now, &mut sim.ports, None, None);
-                let mut refs: Vec<&mut MemPort> = sim.ports.iter_mut().collect();
-                sim.mem.tick(now, &mut refs, &[]);
-                sim.now += 1;
+                sim.tick();
             }
             assert!(sim.cc.is_idle(), "CC failed to reach the idle state");
         }
@@ -991,11 +991,7 @@ mod tests {
         // Diverge: one CC keeps taking full ticks, the other only the
         // skip path's bookkeeping. Every observable must stay equal.
         for _ in 0..16 {
-            let now = full.now;
-            full.cc.tick(now, &mut full.ports, None, None);
-            let mut refs: Vec<&mut MemPort> = full.ports.iter_mut().collect();
-            full.mem.tick(now, &mut refs, &[]);
-            full.now += 1;
+            full.tick();
             skip.cc.tick_idle();
             assert!(full.cc.is_idle(), "idle must be sticky under full ticks");
             assert_eq!(format!("{:?}", full.cc), format!("{:?}", skip.cc));

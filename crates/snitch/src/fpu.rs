@@ -14,6 +14,7 @@
 //! registers per iteration, maintaining the parallel accumulators that
 //! hide FMA latency (Listing 1).
 
+use crate::core::SnitchCore;
 use crate::metrics::Metrics;
 use crate::params::CcParams;
 use issr_core::streamer::Streamer;
@@ -34,13 +35,13 @@ pub struct FpOp {
 }
 
 /// Integer write-back produced by the FPU (comparisons, conversions),
-/// delivered to the core by the core complex.
+/// applied to the core when it completes.
 #[derive(Clone, Copy, Debug)]
-pub struct IntWriteback {
+struct IntWriteback {
     /// Destination integer register index.
-    pub reg: u8,
+    reg: u8,
     /// Value.
-    pub value: u32,
+    value: u32,
 }
 
 #[derive(Debug)]
@@ -55,7 +56,6 @@ enum SeqState {
         /// (iteration 0 of `frep.o`/`frep.i`). Stream-terminated loops
         /// buffer without executing — the body may run zero times.
         execute: bool,
-        buf: Vec<FpOp>,
     },
     Replaying {
         iter: u32,
@@ -63,7 +63,6 @@ enum SeqState {
         max_rpt: u32,
         stagger: Stagger,
         kind: FrepKind,
-        buf: Vec<FpOp>,
     },
 }
 
@@ -84,6 +83,9 @@ pub struct FpuSubsystem {
     busy: [bool; 32],
     queue: VecDeque<FpOp>,
     seq: SeqState,
+    /// The FREP body the sequencer captured (or is capturing). One
+    /// buffer for the subsystem's lifetime, so a loop allocates nothing.
+    body: Vec<FpOp>,
     /// Scheduled FP write-backs: (ready_cycle, reg, value).
     wb_fp: Vec<(u64, u8, u64)>,
     /// Scheduled integer write-backs.
@@ -104,6 +106,7 @@ impl FpuSubsystem {
             busy: [false; 32],
             queue: VecDeque::new(),
             seq: SeqState::Idle,
+            body: Vec::with_capacity(params.frep_buffer),
             wb_fp: Vec::new(),
             wb_int: Vec::new(),
             lsu_tags: VecDeque::new(),
@@ -169,16 +172,17 @@ impl FpuSubsystem {
 
     /// Advances one cycle. `port` is the FPU's virtual slice of the
     /// shared CC memory port; `streamer` provides the stream registers.
-    /// Returns integer write-backs that completed this cycle.
+    /// Integer write-backs that complete this cycle are applied to
+    /// `core` directly.
     pub fn tick(
         &mut self,
         now: u64,
         port: &mut MemPort,
         streamer: &mut Streamer,
         metrics: &mut Metrics,
-    ) -> Vec<IntWriteback> {
+        core: &mut SnitchCore,
+    ) {
         // 1. Retire scheduled write-backs.
-        let mut int_out = Vec::new();
         let mut i = 0;
         while i < self.wb_fp.len() {
             if self.wb_fp[i].0 <= now {
@@ -193,7 +197,7 @@ impl FpuSubsystem {
         while i < self.wb_int.len() {
             if self.wb_int[i].0 <= now {
                 let (_, wb) = self.wb_int.swap_remove(i);
-                int_out.push(wb);
+                core.apply_int_writeback(wb.reg, wb.value);
             } else {
                 i += 1;
             }
@@ -214,7 +218,6 @@ impl FpuSubsystem {
                 }
             }
         }
-        int_out
     }
 
     /// Attempts to issue one op from the sequencer or the queue head.
@@ -230,17 +233,18 @@ impl FpuSubsystem {
         // and drained, the loop retires and the queue behind it resumes
         // in the same cycle — the data-dependent trip count the joiner
         // and SpAcc handshakes feed (`frep.s`).
-        if let SeqState::Replaying { kind: FrepKind::Stream, pos: 0, buf, .. } = &self.seq {
-            if Self::stream_sources_terminated(buf, streamer) {
+        if let SeqState::Replaying { kind: FrepKind::Stream, pos: 0, .. } = &self.seq {
+            if Self::stream_sources_terminated(&self.body, streamer) {
                 self.seq = SeqState::Idle;
             }
         }
         // Replay takes priority: the queue is stalled behind the loop.
-        if let SeqState::Replaying { iter, pos, max_rpt, stagger, kind, buf } = &self.seq {
-            let op = buf[*pos];
+        if let SeqState::Replaying { iter, pos, max_rpt, stagger, kind } = &self.seq {
+            let op = self.body[*pos];
             let offset = stagger.offset_at(*iter);
             let stagger = *stagger;
-            let (iter, pos, max_rpt, kind, buf_len) = (*iter, *pos, *max_rpt, *kind, buf.len());
+            let (iter, pos, max_rpt, kind, buf_len) =
+                (*iter, *pos, *max_rpt, *kind, self.body.len());
             self.issue_op(op, offset, now, port, streamer, metrics)?;
             // Advance the sequencer.
             let (next_iter, next_pos) = match kind {
@@ -291,8 +295,8 @@ impl FpuSubsystem {
                         stagger: *stagger,
                         kind: *kind,
                         execute: !matches!(kind, FrepKind::Stream),
-                        buf: Vec::with_capacity(*n_insns as usize),
                     };
+                    self.body.clear();
                     self.queue.pop_front();
                 }
                 Some(_) => break,
@@ -302,19 +306,19 @@ impl FpuSubsystem {
         // A stream-terminated body buffers without executing: the
         // terminate signal may already be up, in which case the body
         // must run zero times.
-        while let SeqState::Capturing { execute: false, remaining, stagger, kind, buf, .. } =
+        while let SeqState::Capturing { execute: false, remaining, stagger, kind, .. } =
             &mut self.seq
         {
             let Some(&op) = self.queue.front() else {
                 return Err(Blocked::Empty);
             };
             assert!(op.instr.is_fp(), "non-FP instruction inside an FREP body"); // gate-allow: guest bug caught statically by issr-lint (frep window checks)
-            buf.push(op);
+            self.body.push(op);
             self.queue.pop_front();
             *remaining -= 1;
             if *remaining == 0 {
-                let (stagger, kind, buf) = (*stagger, *kind, std::mem::take(buf));
-                self.seq = SeqState::Replaying { iter: 0, pos: 0, max_rpt: 0, stagger, kind, buf };
+                let (stagger, kind) = (*stagger, *kind);
+                self.seq = SeqState::Replaying { iter: 0, pos: 0, max_rpt: 0, stagger, kind };
                 // The first body pass issues next cycle, behind the
                 // terminate check.
                 return Ok(());
@@ -325,8 +329,8 @@ impl FpuSubsystem {
         let offset = 0;
         self.issue_op(op, offset, now, port, streamer, metrics)?;
         self.queue.pop_front();
-        if let SeqState::Capturing { remaining, max_rpt, stagger, kind, buf, .. } = &mut self.seq {
-            buf.push(op);
+        if let SeqState::Capturing { remaining, max_rpt, stagger, kind, .. } = &mut self.seq {
+            self.body.push(op);
             *remaining -= 1;
             if *remaining == 0 {
                 if *max_rpt == 0 {
@@ -338,7 +342,6 @@ impl FpuSubsystem {
                         max_rpt: *max_rpt,
                         stagger: *stagger,
                         kind: *kind,
-                        buf: std::mem::take(buf),
                     };
                 }
             }
@@ -624,7 +627,7 @@ mod tests {
     ) {
         let mut port = MemPort::new();
         for now in start..start + n {
-            fpu.tick(now, &mut port, streamer, metrics);
+            fpu.tick(now, &mut port, streamer, metrics, &mut SnitchCore::new(0));
         }
     }
 
@@ -660,7 +663,7 @@ mod tests {
         let mut port = MemPort::new();
         let mut cycles = 0;
         for now in 0..40 {
-            fpu.tick(now, &mut port, &mut streamer, &mut metrics);
+            fpu.tick(now, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
             cycles = now + 1;
             if fpu.is_drained() {
                 break;
@@ -695,7 +698,7 @@ mod tests {
         fpu.offload(fp3(F::FT5, F::FT3, F::FT4, F::FT5));
         let mut port = MemPort::new();
         for now in 0..200 {
-            fpu.tick(now, &mut port, &mut streamer, &mut metrics);
+            fpu.tick(now, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
             if fpu.is_drained() {
                 break;
             }
@@ -733,7 +736,7 @@ mod tests {
         let mut port = MemPort::new();
         let mut cycles = 0;
         for now in 0..500 {
-            fpu.tick(now, &mut port, &mut streamer, &mut metrics);
+            fpu.tick(now, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
             cycles = now + 1;
             if fpu.is_drained() {
                 break;
@@ -779,7 +782,7 @@ mod tests {
         });
         let mut port = MemPort::new();
         for now in 0..100 {
-            fpu.tick(now, &mut port, &mut streamer, &mut metrics);
+            fpu.tick(now, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
             if fpu.is_drained() {
                 break;
             }
@@ -798,12 +801,12 @@ mod tests {
             instr: Instr::Fld { rd: F::FT7, rs1: issr_isa::reg::IntReg::A0, offset: 0 },
             aux: 0x1000,
         });
-        fpu.tick(0, &mut port, &mut streamer, &mut metrics);
+        fpu.tick(0, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
         // The request is on the port; emulate a 1-cycle memory.
         let req = port.take_pending().expect("fld issued");
         assert_eq!(req.addr, 0x1000);
         port.push_rsp(1, issr_mem::port::MemRsp { data: 2.5f64.to_bits() });
-        fpu.tick(1, &mut port, &mut streamer, &mut metrics);
+        fpu.tick(1, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
         assert_eq!(fpu.reg(F::FT7), 2.5);
         assert!(fpu.is_drained());
     }
@@ -827,7 +830,7 @@ mod tests {
         });
         let mut store_cycle = None;
         for now in 0..30 {
-            fpu.tick(now, &mut port, &mut streamer, &mut metrics);
+            fpu.tick(now, &mut port, &mut streamer, &mut metrics, &mut SnitchCore::new(0));
             if let Some(req) = port.take_pending() {
                 assert!(!req.is_read());
                 store_cycle = Some(now);

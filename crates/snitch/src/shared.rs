@@ -109,11 +109,11 @@ mod tests {
         mux.ssr.send(MemReq::read(0x20));
         // Cycle 0: forward one (round-robin starts at core LSU).
         mux.forward_requests(&mut phys);
-        tcdm.tick(0, &mut [&mut phys], &[]);
+        tcdm.tick(0, std::slice::from_mut(&mut phys), 0, &[]);
         // Cycle 1: relay, forward the second.
         mux.relay_responses(1, &mut phys);
         mux.forward_requests(&mut phys);
-        tcdm.tick(1, &mut [&mut phys], &[]);
+        tcdm.tick(1, std::slice::from_mut(&mut phys), 0, &[]);
         mux.relay_responses(2, &mut phys);
         assert_eq!(mux.core_lsu.take_rsp(1).unwrap().data, 1);
         assert_eq!(mux.ssr.take_rsp(2).unwrap().data, 2);

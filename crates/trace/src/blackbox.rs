@@ -80,6 +80,7 @@ impl BlackBox {
 
     /// Records the unit's cause for cycle `now`. Only changes cost a
     /// ring slot; steady state is free.
+    #[inline]
     pub fn sample(&mut self, unit: UnitId, now: u64, cause: StallCause) {
         let u = &mut self.units[unit.0];
         if u.last == cause {

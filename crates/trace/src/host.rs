@@ -175,6 +175,7 @@ pub fn uninstall() -> Option<HostProfiler> {
 /// Whether an ambient profiler is installed — the one check a harness
 /// makes per tick before paying for any timing.
 #[must_use]
+#[inline]
 pub fn is_enabled() -> bool {
     ACTIVE.with(|a| a.borrow().is_some())
 }
@@ -188,14 +189,20 @@ pub fn with(f: impl FnOnce(&mut HostProfiler)) {
     });
 }
 
-/// Counts one simulated cycle on the ambient profiler.
+/// Counts one simulated cycle on the ambient profiler. The shared
+/// `is_enabled` check comes first, so an unprofiled tick never takes
+/// the mutable borrow.
+#[inline]
 pub fn cycle() {
-    with(HostProfiler::cycle);
+    if is_enabled() {
+        with(HostProfiler::cycle);
+    }
 }
 
 /// Starts phase timing for one tick: `Some(now)` when profiling,
 /// `None` (and zero further cost) otherwise.
 #[must_use]
+#[inline]
 pub fn phase_start() -> Option<Instant> {
     is_enabled().then(Instant::now)
 }
@@ -203,6 +210,7 @@ pub fn phase_start() -> Option<Instant> {
 /// Closes the current phase — attributing the wall-clock since `t` to
 /// `class` with its unit/idle census — and restarts `t` for the next
 /// phase. No-op when `t` is `None`.
+#[inline]
 pub fn phase(t: &mut Option<Instant>, class: &'static str, units: u64, idle_units: u64) {
     if let Some(start) = t {
         let now = Instant::now();
