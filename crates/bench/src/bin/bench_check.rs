@@ -8,7 +8,8 @@
 //! Validates that the fresh file a bench binary just wrote (1) carries
 //! the shared envelope (`schema_version`, `bench`, `mode`, `results`),
 //! (2) keeps its attribution invariants — every per-unit stall-cause
-//! breakdown sums to the cycle count it covers — and (3) has not
+//! breakdown sums to the cycle count it covers, and no critical path
+//! is longer than the run its verdict describes — and (3) has not
 //! regressed any cycle counter beyond its tolerance relative to the
 //! committed baseline. Tolerances are per metric: the baseline's own
 //! `tolerances` object names the budget for each gated key, and
@@ -138,13 +139,33 @@ fn check_critical_path(v: &Json, path: &str, errors: &mut Vec<String>) {
     }
 }
 
+/// Checks an object holding both a `critical_path` section and a
+/// `verdict` with `elapsed`: the path lies within the run, so its
+/// `length` cannot exceed the run's `elapsed` cycles.
+fn check_path_within_run(v: &Json, path: &str, errors: &mut Vec<String>) {
+    let (Some(length), Some(elapsed)) = (
+        v.get("critical_path").and_then(|c| c.get("length")).and_then(Json::as_int),
+        v.get("verdict").and_then(|c| c.get("elapsed")).and_then(Json::as_int),
+    ) else {
+        return;
+    };
+    if length > elapsed {
+        errors.push(format!(
+            "{path}/critical_path: length {length} exceeds the run's elapsed {elapsed} cycles"
+        ));
+    }
+}
+
 /// Walks the document checking the attribution invariants:
 /// an object with `roi_cycles` + `units` has every unit breakdown
 /// summing to `roi_cycles`; an object with `elapsed` + `dma` has the
 /// DMA breakdown summing to `elapsed`; an object with `length` +
-/// `compute` + `edges` partitions exactly (a `critical_path` section).
+/// `compute` + `edges` partitions exactly (a `critical_path` section);
+/// an object with `critical_path` + `verdict` has the path no longer
+/// than the verdict's `elapsed`.
 fn check_attribution(v: &Json, path: &str, errors: &mut Vec<String>) {
     check_critical_path(v, path, errors);
+    check_path_within_run(v, path, errors);
     if let (Some(roi), Some(Json::Obj(units))) =
         (v.get("roi_cycles").and_then(Json::as_int), v.get("units"))
     {
@@ -348,6 +369,37 @@ fn main() -> ExitCode {
                 eprintln!("bench_check: {e}");
             }
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn envelope(length: i64, elapsed: i64) -> Json {
+        let text = format!(
+            r#"{{"results": {{
+                "verdict": {{"bound": "compute", "elapsed": {elapsed}}},
+                "critical_path": {{"length": {length}, "compute": {length},
+                                   "edges": {{"hart_lane": 0}}}}
+            }}}}"#
+        );
+        Json::parse(&text).expect("valid JSON")
+    }
+
+    /// A path longer than its run fails; one up to the run's length
+    /// passes.
+    #[test]
+    fn critical_path_may_not_outlast_the_run() {
+        let mut errors = Vec::new();
+        check_attribution(&envelope(14_851, 8_155), "fresh", &mut errors);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("exceeds the run's elapsed"), "{errors:?}");
+        for length in [7_901, 8_155] {
+            let mut errors = Vec::new();
+            check_attribution(&envelope(length, 8_155), "fresh", &mut errors);
+            assert!(errors.is_empty(), "{errors:?}");
         }
     }
 }

@@ -8,7 +8,7 @@
 //! envelope already carries — two independent models that should (and
 //! are reported whether they) agree on what the run is bound by.
 
-use issr_cluster::cluster::{ClusterAttribution, ClusterSummary};
+use issr_cluster::cluster::ClusterSummary;
 use issr_snitch::cc::RunSummary;
 use issr_system::system::SystemSummary;
 use issr_trace::analyze::Verdict;
@@ -28,13 +28,22 @@ pub fn cluster_critical_path(summary: &ClusterSummary) -> CriticalPath {
     summary.attr.critical_path()
 }
 
-/// The critical path of a multi-cluster run, over the merged per-hart
-/// view (the same aggregation the system verdict classifies).
+/// The critical path of a multi-cluster run: each cluster's own path
+/// (terminal worker chosen within the cluster), and of those the
+/// longest — the cluster the run waited on last. Ties go to the lowest
+/// cluster index. Merging per-hart tables across clusters first would
+/// sum ROIs that ran side by side into a path longer than the run.
 #[must_use]
 pub fn system_critical_path(summary: &SystemSummary) -> CriticalPath {
-    let attr: ClusterAttribution =
-        issr_trace::merge::merge_all(summary.clusters.iter().map(|c| &c.attr));
-    attr.critical_path()
+    let mut best = CriticalPath::default();
+    for c in &summary.clusters {
+        let path = c.attr.critical_path();
+        // Strictly greater: ties keep the earlier cluster.
+        if path.length > best.length {
+            best = path;
+        }
+    }
+    best
 }
 
 /// The `critical_path` envelope section: the path's own fields plus the

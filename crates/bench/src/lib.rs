@@ -2,8 +2,7 @@
 //!
 //! Experiment runners regenerating every table and figure of the paper's
 //! evaluation (§IV–§V). Each figure has a runner returning plain rows
-//! and a binary (`src/bin/`) that prints them as a markdown table;
-//! `benches/figures.rs` wraps representative points in Criterion.
+//! and a binary (`src/bin/`) that prints them as a markdown table.
 
 #![forbid(unsafe_code)]
 

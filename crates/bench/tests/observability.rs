@@ -9,11 +9,11 @@
 //! * **Neutrality** — enabling the interval recorder changes neither a
 //!   cycle count nor an output bit: tracing only reads state the
 //!   simulation latches anyway. The same holds for the post-mortem
-//!   flight recorders and the live wait-graph recorders.
+//!   flight recorders.
 //! * **Wait-graph soundness** — every blocked cycle of every unit maps
 //!   to exactly one outgoing edge, so per-unit edge sums equal the
-//!   breakdowns' blocked counts, the live recorder equals the derived
-//!   graph, and the critical path partitions exactly within the ROI.
+//!   breakdowns' blocked counts, and the critical path partitions
+//!   exactly within the ROI.
 
 use issr_kernels::spgemm::run_spgemm;
 use issr_kernels::spmspv::run_spmspv;
@@ -205,9 +205,9 @@ proptest! {
         prop_assert_eq!(meta, expect, "one metadata record per registered track");
     }
 
-    /// Flight-recorder and wait-graph neutrality: arming every recorder
-    /// changes neither a cycle count nor an output bit, and the live
-    /// wait graph equals the one derived from the attribution tables.
+    /// Flight-recorder neutrality: arming the recorders changes neither
+    /// a cycle count nor an output bit, and the wait graph derived from
+    /// the attribution tables sees the contention.
     #[test]
     fn recorders_change_no_bit_and_no_cycle(
         nrows in 32usize..128,
@@ -221,19 +221,17 @@ proptest! {
         let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
         let plain =
             run_system_csrmv(Variant::Issr, &m, &x, params.n_clusters).expect("plain run");
-        let (recorded, live) =
+        let recorded =
             run_system_csrmv_recorded(Variant::Issr, &m, &x, params, 1 << 16)
                 .expect("recorded run");
         prop_assert_eq!(plain.summary.cycles, recorded.summary.cycles, "cycles must match");
         let plain_bits: Vec<u64> = plain.y.iter().map(|v| v.to_bits()).collect();
         let rec_bits: Vec<u64> = recorded.y.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(plain_bits, rec_bits, "output bits must match");
-        // The live recorder and the derived graph agree edge for edge.
         let mut derived = WaitGraph::new();
         for c in &recorded.summary.clusters {
             derived.merge_from(&c.attr.wait_graph());
         }
-        prop_assert_eq!(live, derived, "live wait graph must equal the derived one");
         prop_assert!(derived.total() > 0, "a contended system run must block somewhere");
     }
 }

@@ -78,7 +78,7 @@ impl ClusterAttribution {
     /// The whole cluster's wait graph: every worker's, the DMCC's and
     /// the DMA engine's blocked cycles folded into per-edge-class cycle
     /// counts. Derived from the attribution tables, so it is exactly as
-    /// timing-neutral and thread-invariant as they are.
+    /// timing-neutral as they are.
     #[must_use]
     pub fn wait_graph(&self) -> WaitGraph {
         let mut g = WaitGraph::new();
@@ -263,11 +263,6 @@ pub struct Cluster {
     /// Post-mortem flight recorder; [`Cluster::run`] arms a default one
     /// so every timeout dump carries recent history.
     flight: Option<FlightRecorder>,
-    /// Opt-in live wait-graph recorder. Provably redundant — it must
-    /// (and property-tested does) equal the graph derived from the
-    /// attribution tables — but it lets harnesses watch edges grow
-    /// mid-run without waiting for a summary.
-    live_graph: Option<WaitGraph>,
     /// Declared synchronization words `(addr, owner_hart)` — e.g. flag
     /// words one hart writes and others spin on. Post-mortem deadlock
     /// classification builds its blame edges from these.
@@ -355,7 +350,6 @@ impl Cluster {
             census: TickCensus::default(),
             idle_mem: true,
             flight: None,
-            live_graph: None,
             sync_words: Vec::new(),
             now: 0,
         }
@@ -410,13 +404,10 @@ impl Cluster {
     /// [`MainMemory::begin_dma_cycle`] before ticking the clusters that
     /// share it — their tick order is the bandwidth grant order.
     ///
-    /// The tick is three phases. Compute and memory touch only
-    /// cluster-local state; every access to the shared main memory is
-    /// confined to [`Cluster::tick_interconnect`], which is why the
-    /// system harness can run the other two phases of different
-    /// clusters on a thread pool and still replay the interconnect
-    /// serially in grant order — bit-identical to this serial
-    /// composition regardless of thread count.
+    /// The tick is three phases: compute, interconnect and memory.
+    /// Only [`Cluster::tick_interconnect`] touches the main memory; the
+    /// split also gives the host profiler its per-phase wall-clock
+    /// classes (`workers`, `dmcc`, `dma`, `mem`).
     pub fn tick_shared(&mut self, main: &mut MainMemory) -> TickActivity {
         self.tick_compute();
         self.tick_interconnect(main);
@@ -427,7 +418,7 @@ impl Cluster {
     /// DMCC. Provably idle units (per [`CoreComplex::is_idle`]) take the
     /// cheap bookkeeping path instead of a full tick; the census of who
     /// was skipped is latched for [`Cluster::last_census`].
-    pub fn tick_compute(&mut self) {
+    fn tick_compute(&mut self) {
         let now = self.now;
         // Host self-profiler (opt-in, read-only): bill each phase's
         // wall-clock to its unit class. Gated on one thread-local
@@ -463,9 +454,9 @@ impl Cluster {
 
     /// Phase 2 — the only phase that touches the (possibly shared) main
     /// memory: the DMA engine moves a beat and claims banks, then
-    /// narrow main-region requests are served. Under the thread pool
-    /// this phase runs serially, cluster by cluster in grant order.
-    pub fn tick_interconnect(&mut self, main: &mut MainMemory) {
+    /// narrow main-region requests are served. A system ticks its
+    /// clusters in grant order, so this order is the bandwidth order.
+    fn tick_interconnect(&mut self, main: &mut MainMemory) {
         let now = self.now;
         let mut host_t = host::phase_start();
         // DMA moves a beat and claims its banks, yielding contested
@@ -528,22 +519,21 @@ impl Cluster {
 
     /// Phase 3 — cluster-local memory: TCDM bank arbitration, then the
     /// cycle counter advances and the tick's activity is reported.
-    pub fn tick_mem(&mut self) -> TickActivity {
+    fn tick_mem(&mut self) -> TickActivity {
         let now = self.now;
         let mut host_t = host::phase_start();
         self.tcdm.tick(now, &mut self.ports, self.main_routed, &self.dma_claimed);
         host::phase(&mut host_t, "mem", 1, u64::from(self.idle_mem));
-        self.sample_recorders(now);
+        self.sample_flight_recorder(now);
         self.now += 1;
         TickActivity { dma_words_moved: self.dma_words_moved, workers_in_roi: self.workers_in_roi }
     }
 
-    /// Feeds the cycle that just completed into whichever recorders are
-    /// armed. Runs at the end of phase 3 — per-cluster state only, so
-    /// the thread-pool harness keeps its bit-identical replay — and
-    /// reads only latched classifications, so recording is invisible to
-    /// the simulated machine.
-    fn sample_recorders(&mut self, now: u64) {
+    /// Feeds the cycle that just completed into the flight recorder, if
+    /// armed. Runs at the end of phase 3 and reads only latched
+    /// classifications, so recording is invisible to the simulated
+    /// machine.
+    fn sample_flight_recorder(&mut self, now: u64) {
         if let Some(fr) = self.flight.as_mut() {
             for (i, cc) in self.workers.iter().enumerate() {
                 fr.bb.sample(fr.harts[i], now, cc.last_causes().hart);
@@ -551,38 +541,13 @@ impl Cluster {
             fr.bb.sample(fr.harts[self.workers.len()], now, self.dmcc.last_causes().hart);
             fr.bb.sample(fr.dma, now, self.dma.last_cause());
         }
-        if let Some(g) = self.live_graph.as_mut() {
-            // Mirror the attribution gating exactly: cores count edges
-            // only inside their ROI, the DMA engine every cluster cycle
-            // — that is what makes live == derived provable.
-            for cc in self.workers.iter().chain(std::iter::once(&self.dmcc)) {
-                if cc.metrics.roi_active {
-                    let causes = cc.last_causes();
-                    g.record(UnitClass::Hart, causes.hart);
-                    for &c in &causes.streamer.lanes {
-                        g.record(UnitClass::Lane, c);
-                    }
-                    g.record(UnitClass::Joiner, causes.streamer.joiner);
-                    g.record(UnitClass::SpAcc, causes.streamer.spacc);
-                }
-            }
-            g.record(UnitClass::Dma, self.dma.last_cause());
-        }
     }
 
-    /// The idle census taken by the last [`Cluster::tick_compute`]: how
-    /// many units were provably idle (and therefore skipped) that cycle.
+    /// The idle census taken by the last tick's compute phase: how many
+    /// units were provably idle (and therefore skipped) that cycle.
     #[must_use]
     pub fn last_census(&self) -> TickCensus {
         self.census
-    }
-
-    /// The activity of the last completed tick — what
-    /// [`Cluster::tick_mem`] returned. The thread-pool harness reads it
-    /// after the barrier (the return value stays on the worker thread).
-    #[must_use]
-    pub fn last_activity(&self) -> TickActivity {
-        TickActivity { dma_words_moved: self.dma_words_moved, workers_in_roi: self.workers_in_roi }
     }
 
     /// Arms the post-mortem flight recorder with a ring of `cap` recent
@@ -606,20 +571,6 @@ impl Cluster {
     #[must_use]
     pub fn flight_recorder_armed(&self) -> bool {
         self.flight.is_some()
-    }
-
-    /// Arms the live wait-graph recorder (edges accumulate as the run
-    /// ticks). Redundant with the graph derived from the summary's
-    /// attribution — the two must be equal — and just as timing-neutral.
-    pub fn enable_waitgraph(&mut self) {
-        self.live_graph = Some(WaitGraph::new());
-    }
-
-    /// The live wait graph accumulated so far (`None` until
-    /// [`Cluster::enable_waitgraph`]).
-    #[must_use]
-    pub fn live_wait_graph(&self) -> Option<&WaitGraph> {
-        self.live_graph.as_ref()
     }
 
     /// Declares `addr` a synchronization word owned (written) by

@@ -296,12 +296,11 @@ pub fn run_system_csrmv_traced<I: KernelIndex>(
     Ok((run, trace.expect("tracing was enabled")))
 }
 
-/// [`run_system_csrmv_with`] with every observability recorder armed:
-/// per-cluster post-mortem flight recorders (`recorder_cap` transitions
-/// each) plus the live wait-graph recorders. Returns the run and the
-/// system's merged live wait graph. All recorders read only latched
-/// per-tick state, so the run is bit- and cycle-identical to the plain
-/// one — the property the observability tests pin down.
+/// [`run_system_csrmv_with`] with the per-cluster post-mortem flight
+/// recorders armed (`recorder_cap` transitions each). The recorders
+/// read only latched per-tick state, so the run is bit- and
+/// cycle-identical to the plain one — the property the observability
+/// tests pin down.
 ///
 /// # Errors
 /// As [`run_system_csrmv_with`].
@@ -314,19 +313,17 @@ pub fn run_system_csrmv_recorded<I: KernelIndex>(
     x: &[f64],
     params: SystemParams,
     recorder_cap: usize,
-) -> Result<(SystemCsrmvRun, issr_trace::WaitGraph), SimTimeout> {
+) -> Result<SystemCsrmvRun, SimTimeout> {
     let plan = ClusterCsrmvPlan::new(m, params.cluster.n_workers as u32);
     let program = build_system_csrmv::<I>(variant, &plan);
     let mut system = System::new(program, params);
     system.enable_flight_recorders(recorder_cap);
-    system.enable_waitgraphs();
     plan.marshal_into(system.main.array_mut(), m, x);
     system.set_work_queue(plan.queue_addr());
     let budget = 1_000_000 + 64 * m.nnz() as u64 + 1024 * m.nrows() as u64;
     let summary = system.run(budget)?;
     assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
-    let graph = system.live_wait_graph();
-    Ok((SystemCsrmvRun { y: plan.read_y_from(system.main.array()), summary }, graph))
+    Ok(SystemCsrmvRun { y: plan.read_y_from(system.main.array()), summary })
 }
 
 fn run_system_csrmv_inner<I: KernelIndex>(

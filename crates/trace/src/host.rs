@@ -6,9 +6,7 @@
 //! unit ticks were provably idle (a halted hart, a drained streamer, an
 //! engine with nothing queued — exactly the ticks a dirty-set scheduler
 //! could skip), and how many simulated cycles per second the process
-//! sustains. The idle census sizes the sparse-ticking opportunity the
-//! ROADMAP's parallel-ticking item needs before anyone writes the
-//! thread pool.
+//! sustains. The idle census sizes the sparse-ticking opportunity.
 //!
 //! The profiler is **opt-in and ambient**: a bench binary installs one
 //! collector for its thread ([`install`]) and every run harness it

@@ -12,9 +12,9 @@
 //! [`CycleBreakdown`] sums exactly to that breakdown's blocked cycles.
 //!
 //! Because the graph is a linear function of the already-recorded
-//! breakdowns, deriving it is timing-neutral and thread-invariant for
-//! free; the live per-cycle recorder the cluster/system harnesses offer
-//! is property-tested to agree bit-for-bit with the derived graph.
+//! breakdowns, deriving it is timing-neutral for free: wait graphs are
+//! only ever built by [`WaitGraph::add_breakdown`] over the attribution
+//! tables, never recorded separately.
 
 use crate::attr::{CycleBreakdown, StallCause};
 use crate::json::Json;
@@ -172,14 +172,6 @@ impl WaitGraph {
         self.counts[edge as usize] += cycles;
     }
 
-    /// Records one blocked cycle of `unit` under `cause`; non-blocked
-    /// causes are ignored. This is the live per-cycle recording entry.
-    pub fn record(&mut self, unit: UnitClass, cause: StallCause) {
-        if let Some(edge) = edge_for(unit, cause) {
-            self.add(edge, 1);
-        }
-    }
-
     /// Folds a whole recorded breakdown of `unit` into the graph —
     /// every blocked cycle becomes one edge cycle.
     pub fn add_breakdown(&mut self, unit: UnitClass, breakdown: &CycleBreakdown) {
@@ -285,28 +277,6 @@ mod tests {
         assert_eq!(g.get(EdgeClass::HartLane), 3);
         assert_eq!(g.get(EdgeClass::HartTcdm), 1);
         assert_eq!(g.get(EdgeClass::HartBarrier), 1);
-    }
-
-    #[test]
-    fn live_record_equals_derived() {
-        let causes = [
-            StallCause::Active,
-            StallCause::FifoEmpty,
-            StallCause::FifoEmpty,
-            StallCause::JoinerWait,
-            StallCause::DrainBusy,
-            StallCause::Idle,
-            StallCause::PortConflict,
-        ];
-        let mut b = CycleBreakdown::new();
-        let mut live = WaitGraph::new();
-        for c in causes {
-            b.record(c);
-            live.record(UnitClass::Lane, c);
-        }
-        let mut derived = WaitGraph::new();
-        derived.add_breakdown(UnitClass::Lane, &b);
-        assert_eq!(live, derived);
     }
 
     #[test]
