@@ -937,6 +937,7 @@ pub fn spgemm_attribution(regime: SpgemmRegime) -> issr_snitch::attr::CcAttribut
 #[must_use]
 pub fn cluster_spgemm_phase_profile(regime: SpgemmRegime) -> issr_trace::PhaseProfile {
     use issr_cluster::cluster::{Cluster, ClusterParams};
+    use issr_snitch::cc::run_until_quiescent;
     let mut rng = gen::rng(0x000F_1651);
     let a = gen::csr_fixed_row_nnz::<u16>(&mut rng, regime.nrows, regime.inner, regime.a_row_nnz);
     let b = gen::csr_fixed_row_nnz::<u16>(&mut rng, regime.inner, regime.ncols, regime.b_row_nnz);
@@ -956,17 +957,12 @@ pub fn cluster_spgemm_phase_profile(regime: SpgemmRegime) -> issr_trace::PhasePr
     let mut cluster = Cluster::new(program, params);
     plan.marshal(&mut cluster, &a, &b);
     let budget = 4_000_000 + 1024 * (a.nnz() + b.nnz() + a.nrows()) as u64;
-    let mut cycles = 0u64;
-    while !cluster.quiescent() {
-        assert!(cycles < budget, "phase-profiled SpGEMM run exceeded its budget");
-        cluster.tick();
-        cycles += 1;
-        for cc in &cluster.workers {
-            if !cc.core.halted() {
-                profile.sample(cc.core.pc(), cc.last_causes().hart);
-            }
+    run_until_quiescent(&mut cluster, budget, |c: &Cluster| {
+        for cc in c.workers.iter().filter(|cc| !cc.core.halted()) {
+            profile.sample(cc.core.pc(), cc.last_causes().hart);
         }
-    }
+    })
+    .expect("phase-profiled SpGEMM run exceeded its budget");
     profile
 }
 
@@ -996,12 +992,13 @@ pub fn system_csrmv_attribution(
     trace_cap: usize,
 ) -> SystemAttributionReport {
     use issr_system::system::SystemParams;
-    let (run, trace) = run_system_csrmv_traced(
+    let mut rec = issr_trace::TraceRecorder::new(trace_cap);
+    let run = run_system_csrmv_traced(
         Variant::Issr,
         m,
         x,
         SystemParams { n_clusters, ..SystemParams::default() },
-        trace_cap,
+        &mut rec,
     )
     .expect("instrumented system run");
     let expect = reference::csrmv(m, x);
@@ -1009,7 +1006,7 @@ pub fn system_csrmv_attribution(
         issr_sparse::dense::allclose(&run.y, &expect, 1e-12, 1e-12),
         "instrumented system CsrMV diverged from the reference"
     );
-    SystemAttributionReport { summary: run.summary, trace }
+    SystemAttributionReport { summary: run.summary, trace: rec.to_chrome_json() }
 }
 
 #[cfg(test)]

@@ -15,17 +15,17 @@
 //!   breakdowns' blocked counts, and the critical path partitions
 //!   exactly within the ROI.
 
+use issr_kernels::cluster_csrmv::ClusterCsrmvPlan;
 use issr_kernels::spgemm::run_spgemm;
 use issr_kernels::spmspv::run_spmspv;
-use issr_kernels::system_csrmv::{
-    run_system_csrmv, run_system_csrmv_recorded, run_system_csrmv_traced,
-};
+use issr_kernels::system_csrmv::{build_system_csrmv, run_system_csrmv, run_system_csrmv_traced};
 use issr_kernels::variant::Variant;
 use issr_snitch::attr::CcAttribution;
+use issr_snitch::cc::{run_until_quiescent, Machine};
 use issr_sparse::gen;
-use issr_system::system::SystemParams;
+use issr_system::system::{System, SystemParams};
 use issr_trace::waitgraph::UnitClass;
-use issr_trace::{is_blocked, CycleBreakdown, StatMerge, WaitGraph};
+use issr_trace::{is_blocked, CycleBreakdown, StatMerge, TraceRecorder, WaitGraph};
 use proptest::prelude::*;
 
 /// The blocked cycles of one breakdown (everything that is not Active,
@@ -185,8 +185,10 @@ proptest! {
         let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
         let plain =
             run_system_csrmv(Variant::Issr, &m, &x, params.n_clusters).expect("plain run");
-        let (traced, trace) =
-            run_system_csrmv_traced(Variant::Issr, &m, &x, params, 4_096).expect("traced run");
+        let mut rec = TraceRecorder::new(4_096);
+        let traced =
+            run_system_csrmv_traced(Variant::Issr, &m, &x, params, &mut rec).expect("traced run");
+        let trace = rec.to_chrome_json();
         prop_assert_eq!(plain.summary.cycles, traced.summary.cycles, "cycle counts must match");
         let plain_bits: Vec<u64> = plain.y.iter().map(|v| v.to_bits()).collect();
         let traced_bits: Vec<u64> = traced.y.iter().map(|v| v.to_bits()).collect();
@@ -205,9 +207,10 @@ proptest! {
         prop_assert_eq!(meta, expect, "one metadata record per registered track");
     }
 
-    /// Flight-recorder neutrality: arming the recorders changes neither
-    /// a cycle count nor an output bit, and the wait graph derived from
-    /// the attribution tables sees the contention.
+    /// Observer neutrality: a run with no observer at all and one with
+    /// the flight recorder and the Perfetto recorder observing finish in
+    /// the same cycle with bit-identical output, and the wait graph
+    /// derived from the attribution tables sees the contention.
     #[test]
     fn recorders_change_no_bit_and_no_cycle(
         nrows in 32usize..128,
@@ -219,13 +222,17 @@ proptest! {
         let m = gen::csr_uniform::<u16>(&mut rng, nrows, ncols, nnz);
         let x = gen::dense_vector(&mut rng, ncols);
         let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
-        let plain =
-            run_system_csrmv(Variant::Issr, &m, &x, params.n_clusters).expect("plain run");
+        let plan = ClusterCsrmvPlan::new(&m, params.cluster.n_workers as u32);
+        let mut bare = System::new(build_system_csrmv::<u16>(Variant::Issr, &plan), params);
+        plan.marshal_into(bare.main.array_mut(), &m, &x);
+        bare.set_work_queue(plan.queue_addr());
+        run_until_quiescent(&mut bare, 10_000_000, |_| {}).expect("bare run");
+        let mut rec = TraceRecorder::new(4_096);
         let recorded =
-            run_system_csrmv_recorded(Variant::Issr, &m, &x, params, 1 << 16)
-                .expect("recorded run");
-        prop_assert_eq!(plain.summary.cycles, recorded.summary.cycles, "cycles must match");
-        let plain_bits: Vec<u64> = plain.y.iter().map(|v| v.to_bits()).collect();
+            run_system_csrmv_traced(Variant::Issr, &m, &x, params, &mut rec).expect("observed run");
+        prop_assert_eq!(bare.now(), recorded.summary.cycles, "cycles must match");
+        let plain_bits: Vec<u64> =
+            plan.read_y_from(bare.main.array()).iter().map(|v| v.to_bits()).collect();
         let rec_bits: Vec<u64> = recorded.y.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(plain_bits, rec_bits, "output bits must match");
         let mut derived = WaitGraph::new();

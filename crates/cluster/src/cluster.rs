@@ -10,15 +10,14 @@ use issr_mem::map::{region_of, Region, MAIN_BASE, MAIN_SIZE, TCDM_BANKS, TCDM_BA
 use issr_mem::port::MemPort;
 use issr_mem::tcdm::{Tcdm, TcdmStats};
 use issr_snitch::attr::CcAttribution;
-use issr_snitch::cc::{CoreComplex, SimTimeout};
+use issr_snitch::cc::{run_until_quiescent, CoreComplex, Machine, SimTimeout};
 use issr_snitch::core::Trap;
 use issr_snitch::metrics::Metrics;
 use issr_snitch::params::CcParams;
-use issr_trace::blackbox::DEFAULT_BLACKBOX_CAP;
 use issr_trace::waitgraph::UnitClass;
 use issr_trace::{
     host, BlackBox, CounterId, CriticalPath, CycleBreakdown, PostMortem, StallCause, StatMerge,
-    StuckUnit, TraceRecorder, TrackId, UnitId, WaitGraph,
+    TraceRecorder, TrackId, UnitId, WaitGraph,
 };
 
 /// Cluster configuration.
@@ -197,31 +196,51 @@ pub struct TickActivity {
     pub workers_in_roi: bool,
 }
 
-/// The pre-tick idle census of one cluster cycle, computed every cycle
-/// from the same `is_idle()` predicates the dirty-set skipper acts on —
-/// PR 7's profiler-gated read-only census promoted to an always-on
-/// input that the skipping logic and the host profiler now share.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TickCensus {
-    /// Worker CCs that were provably idle before this tick (and were
-    /// therefore ticked through the cheap bookkeeping path).
-    pub idle_workers: u64,
-    /// Whether the DMCC was provably idle.
-    pub idle_dmcc: bool,
-    /// Whether the DMA engine had nothing queued or in flight.
-    pub idle_dma: bool,
+/// The post-mortem flight recorder as a run observer: one bounded ring
+/// of recent per-unit state transitions (workers, DMCC and DMA engine of
+/// every observed cluster), sampled after each tick from the
+/// classifications the tick latched. It reads the clusters only through
+/// shared references, so recording cannot change timing.
+/// [`Cluster::run`] and the system harness run with one.
+#[derive(Clone, Debug)]
+pub struct FlightRecorder {
+    bb: BlackBox,
+    /// Per cluster: hart units (workers, then the DMCC) and the DMA unit.
+    units: Vec<(Vec<UnitId>, UnitId)>,
 }
 
-/// One cluster's always-cheap flight recorder: a bounded ring of
-/// recent per-unit state transitions (workers, DMCC, DMA), sampled from
-/// the classifications the tick already latched — never from live
-/// machine state, so recording cannot perturb timing.
-#[derive(Clone, Debug)]
-struct FlightRecorder {
-    bb: BlackBox,
-    /// Unit handles: workers `0..n_workers`, then the DMCC.
-    harts: Vec<UnitId>,
-    dma: UnitId,
+impl FlightRecorder {
+    /// A default-capacity recorder over `clusters`; units are named by
+    /// cluster index (`"c0 hart 3"`).
+    #[must_use]
+    pub fn new(clusters: &[Cluster]) -> Self {
+        let mut bb = BlackBox::default();
+        let units = clusters
+            .iter()
+            .map(|c| {
+                let harts = (0..=c.workers.len()).map(|i| bb.add_unit(c.unit_name(i))).collect();
+                (harts, bb.add_unit(format!("c{} dma", c.index)))
+            })
+            .collect();
+        Self { bb, units }
+    }
+
+    /// Records the cycle that just ran on every cluster.
+    pub fn sample(&mut self, clusters: &[Cluster]) {
+        for (c, (harts, dma)) in clusters.iter().zip(&self.units) {
+            let now = c.now - 1;
+            for (cc, &unit) in c.workers.iter().chain(std::iter::once(&c.dmcc)).zip(harts) {
+                self.bb.sample(unit, now, cc.last_causes().hart);
+            }
+            self.bb.sample(*dma, now, c.dma.last_cause());
+        }
+    }
+
+    /// The ring, for [`PostMortem::attach`].
+    #[must_use]
+    pub fn black_box(&self) -> &BlackBox {
+        &self.bb
+    }
 }
 
 /// The eight-worker Snitch cluster plus DMCC.
@@ -258,11 +277,10 @@ pub struct Cluster {
     main_routed: u64,
     dma_words_moved: u64,
     workers_in_roi: bool,
-    census: TickCensus,
     idle_mem: bool,
-    /// Post-mortem flight recorder; [`Cluster::run`] arms a default one
-    /// so every timeout dump carries recent history.
-    flight: Option<FlightRecorder>,
+    /// Cluster index within the system (0 standalone): names units in
+    /// post-mortems and flight recordings (`"c0 hart 3"`).
+    index: usize,
     /// Declared synchronization words `(addr, owner_hart)` — e.g. flag
     /// words one hart writes and others spin on. Post-mortem deadlock
     /// classification builds its blame edges from these.
@@ -347,28 +365,22 @@ impl Cluster {
             main_routed: 0,
             dma_words_moved: 0,
             workers_in_roi: false,
-            census: TickCensus::default(),
             idle_mem: true,
-            flight: None,
+            index: 0,
             sync_words: Vec::new(),
             now: 0,
         }
     }
 
-    /// [`Cluster::new`] for a cluster embedded in a multi-cluster
-    /// system: the private main memory is an empty stub (the system
-    /// owns the shared one and drives [`Cluster::tick_shared`]).
+    /// [`Cluster::new`] for cluster `index` of a multi-cluster system:
+    /// the private main memory is an empty stub (the system owns the
+    /// shared one and drives [`Cluster::tick_shared`]).
     #[must_use]
-    pub fn new_for_system(program: Program, params: ClusterParams) -> Self {
+    pub fn new_for_system(program: Program, params: ClusterParams, index: usize) -> Self {
         let mut cluster = Self::new(program, params);
         cluster.main = MainMemory::new(MAIN_BASE, 0);
+        cluster.index = index;
         cluster
-    }
-
-    /// Whether every core halted and all queues drained.
-    #[must_use]
-    pub fn quiescent(&self) -> bool {
-        self.workers.iter().all(CoreComplex::quiescent) && self.dmcc.quiescent() && !self.dma.busy()
     }
 
     fn release_barrier_if_all_arrived(&mut self) {
@@ -386,16 +398,6 @@ impl Cluster {
             }
             self.dmcc.core.release_barrier();
         }
-    }
-
-    /// Advances the whole cluster one cycle against its private main
-    /// memory, resetting the memory's per-cycle DMA bandwidth budget.
-    pub fn tick(&mut self) {
-        host::cycle();
-        self.main.begin_dma_cycle();
-        let mut main = std::mem::replace(&mut self.main, MainMemory::new(MAIN_BASE, 0));
-        self.tick_shared(&mut main);
-        self.main = main;
     }
 
     /// Advances the whole cluster one cycle against an external
@@ -416,8 +418,7 @@ impl Cluster {
 
     /// Phase 1 — cluster-local compute: barrier release, worker CCs,
     /// DMCC. Provably idle units (per [`CoreComplex::is_idle`]) take the
-    /// cheap bookkeeping path instead of a full tick; the census of who
-    /// was skipped is latched for [`Cluster::last_census`].
+    /// cheap bookkeeping path instead of a full tick.
     fn tick_compute(&mut self) {
         let now = self.now;
         // Host self-profiler (opt-in, read-only): bill each phase's
@@ -449,7 +450,6 @@ impl Cluster {
             self.dmcc.tick(now, phys, Some(&mut self.dma), None);
         }
         host::phase(&mut host_t, "dmcc", 1, u64::from(idle_dmcc));
-        self.census = TickCensus { idle_workers, idle_dmcc, idle_dma: !self.dma.busy() };
     }
 
     /// Phase 2 — the only phase that touches the (possibly shared) main
@@ -462,7 +462,8 @@ impl Cluster {
         // DMA moves a beat and claims its banks, yielding contested
         // banks to core ports every other cycle (fair interconnect).
         self.dma_claimed.fill(false);
-        if self.dma.busy() {
+        let idle_dma = !self.dma.busy();
+        if !idle_dma {
             // Only a busy engine reads the contested map; skip the
             // banks scan (and tolerate stale contents) otherwise.
             self.contested.fill(false);
@@ -488,7 +489,7 @@ impl Cluster {
         );
         self.dma_words_moved = main.stats.wide_beats - moved_before;
         self.dma_attr.record(self.dma.last_cause());
-        host::phase(&mut host_t, "dma", 1, u64::from(self.census.idle_dma));
+        host::phase(&mut host_t, "dma", 1, u64::from(idle_dma));
         // Route main-region requests and latch the routing: the TCDM
         // phase must exclude exactly these slots — served or not — so
         // its round-robin port positions match the pre-split order.
@@ -524,53 +525,8 @@ impl Cluster {
         let mut host_t = host::phase_start();
         self.tcdm.tick(now, &mut self.ports, self.main_routed, &self.dma_claimed);
         host::phase(&mut host_t, "mem", 1, u64::from(self.idle_mem));
-        self.sample_flight_recorder(now);
         self.now += 1;
         TickActivity { dma_words_moved: self.dma_words_moved, workers_in_roi: self.workers_in_roi }
-    }
-
-    /// Feeds the cycle that just completed into the flight recorder, if
-    /// armed. Runs at the end of phase 3 and reads only latched
-    /// classifications, so recording is invisible to the simulated
-    /// machine.
-    fn sample_flight_recorder(&mut self, now: u64) {
-        if let Some(fr) = self.flight.as_mut() {
-            for (i, cc) in self.workers.iter().enumerate() {
-                fr.bb.sample(fr.harts[i], now, cc.last_causes().hart);
-            }
-            fr.bb.sample(fr.harts[self.workers.len()], now, self.dmcc.last_causes().hart);
-            fr.bb.sample(fr.dma, now, self.dma.last_cause());
-        }
-    }
-
-    /// The idle census taken by the last tick's compute phase: how many
-    /// units were provably idle (and therefore skipped) that cycle.
-    #[must_use]
-    pub fn last_census(&self) -> TickCensus {
-        self.census
-    }
-
-    /// Arms the post-mortem flight recorder with a ring of `cap` recent
-    /// per-unit transitions, naming units for cluster `cluster` (e.g.
-    /// `"c0 hart 3"`). Re-arming resets the ring. The recorder samples
-    /// only the classifications the tick already latched, so arming it
-    /// changes no simulated bit and no cycle count.
-    pub fn enable_flight_recorder(&mut self, cap: usize, cluster: usize) {
-        let mut bb = BlackBox::new(cap);
-        let mut harts = Vec::with_capacity(self.workers.len() + 1);
-        for i in 0..self.workers.len() {
-            harts.push(bb.add_unit(format!("c{cluster} hart {i}")));
-        }
-        harts.push(bb.add_unit(format!("c{cluster} dmcc")));
-        let dma = bb.add_unit(format!("c{cluster} dma"));
-        self.flight = Some(FlightRecorder { bb, harts, dma });
-    }
-
-    /// Whether a flight recorder is armed ([`Cluster::run`] and the
-    /// system harness arm a default one before running).
-    #[must_use]
-    pub fn flight_recorder_armed(&self) -> bool {
-        self.flight.is_some()
     }
 
     /// Declares `addr` a synchronization word owned (written) by
@@ -581,101 +537,36 @@ impl Cluster {
         self.sync_words.push((addr, owner_hart));
     }
 
-    /// Every hart (workers, then the DMCC as hart `n_workers`) that has
-    /// not gone quiescent, with its current PC and dominant lifetime
-    /// stall cause — the timeout diagnostic.
-    #[must_use]
-    pub fn stuck_harts(&self, cluster: usize) -> Vec<issr_snitch::cc::StuckHart> {
-        let mut stuck = Vec::new();
-        for (i, cc) in self.workers.iter().enumerate() {
-            if !cc.quiescent() {
-                stuck.push(issr_snitch::cc::StuckHart {
-                    cluster,
-                    hart: i as u32,
-                    pc: cc.core.pc(),
-                    cause: cc.cause_tally.dominant(),
-                });
-            }
+    /// Hart `i`'s unit name: workers `"c{index} hart {i}"`, the DMCC
+    /// (`i == n_workers`) `"c{index} dmcc"`.
+    fn unit_name(&self, i: usize) -> String {
+        if i == self.workers.len() {
+            format!("c{} dmcc", self.index)
+        } else {
+            format!("c{} hart {i}", self.index)
         }
-        if !self.dmcc.quiescent() {
-            stuck.push(issr_snitch::cc::StuckHart {
-                cluster,
-                hart: self.workers.len() as u32,
-                pc: self.dmcc.core.pc(),
-                cause: self.dmcc.cause_tally.dominant(),
-            });
-        }
-        stuck
     }
 
-    /// Assembles the post-mortem for the cluster's current state: stuck
-    /// harts with their dominant stall cause and last-polled address,
-    /// the frozen wait graph, deadlock-vs-slow classification over the
-    /// declared sync words, and whatever the flight recorder holds.
-    #[must_use]
-    pub fn post_mortem(&self, cluster: usize) -> PostMortem {
-        let mut stuck = Vec::new();
-        let name = |i: usize| {
-            if i == self.workers.len() {
-                format!("c{cluster} dmcc")
-            } else {
-                format!("c{cluster} hart {i}")
-            }
-        };
-        for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
-            if !cc.quiescent() {
-                stuck.push(StuckUnit {
-                    name: name(i),
-                    hart: i as u32,
-                    pc: cc.core.pc(),
-                    dominant: cc.cause_tally.dominant(),
-                    polls: cc.core.last_load_addr(),
-                });
-            }
-        }
-        // The post-mortem graph uses the whole-lifetime hart tallies,
-        // not the ROI-gated tables: a hung run often never opened (or
-        // never closed) an ROI, and the dump must still show where the
-        // harts waited. Streamer units and the DMA keep their tables.
-        let mut graph = WaitGraph::new();
-        for cc in self.workers.iter().chain(std::iter::once(&self.dmcc)) {
-            graph.add_breakdown(UnitClass::Hart, &cc.cause_tally);
-            for lane in &cc.attr.lanes {
-                graph.add_breakdown(UnitClass::Lane, lane);
-            }
-            graph.add_breakdown(UnitClass::Joiner, &cc.attr.joiner);
-            graph.add_breakdown(UnitClass::SpAcc, &cc.attr.spacc);
-        }
-        graph.add_breakdown(UnitClass::Dma, &self.dma_attr);
-        PostMortem::assemble(
-            self.now,
-            stuck,
-            &self.sync_words,
-            graph,
-            self.flight.as_ref().map(|f| &f.bb),
-        )
-    }
-
-    /// Runs to quiescence.
+    /// Runs to quiescence with the default flight recorder observing:
+    /// a timeout's post-mortem, or a trapped run's, carries its recent
+    /// transitions.
     ///
     /// # Errors
     /// Returns [`SimTimeout`] if the cluster does not finish in
     /// `max_cycles` (deadlock or bug).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, SimTimeout> {
-        // Arm a default flight recorder so any timeout dump carries
-        // recent history; recording reads only latched state, so this
-        // changes no simulated bit and no cycle count.
-        if self.flight.is_none() {
-            self.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, 0);
+        let mut flight = FlightRecorder::new(std::slice::from_ref(self));
+        run_until_quiescent(self, max_cycles, |c| flight.sample(std::slice::from_ref(c))).map_err(
+            |mut t| {
+                t.post_mortem.attach(flight.black_box());
+                t
+            },
+        )?;
+        let mut summary = self.summary();
+        if let Some(pm) = &mut summary.post_mortem {
+            pm.attach(flight.black_box());
         }
-        let deadline = self.now + max_cycles;
-        while self.now < deadline {
-            self.tick();
-            if self.quiescent() {
-                return Ok(self.summary());
-            }
-        }
-        Err(SimTimeout::new(max_cycles, self.stuck_harts(0)).with_post_mortem(self.post_mortem(0)))
+        Ok(summary)
     }
 
     /// Registers one track per hart (workers then DMCC), per worker
@@ -760,9 +651,46 @@ impl Cluster {
             post_mortem: None,
         };
         if !summary.traps.is_empty() {
-            summary.post_mortem = Some(self.post_mortem(0));
+            summary.post_mortem = Some(Machine::post_mortem(self));
         }
         summary
+    }
+}
+
+impl Machine for Cluster {
+    /// Advances the whole cluster one cycle against its private main
+    /// memory, resetting the memory's per-cycle DMA bandwidth budget.
+    fn tick(&mut self) {
+        host::cycle();
+        self.main.begin_dma_cycle();
+        let mut main = std::mem::replace(&mut self.main, MainMemory::new(MAIN_BASE, 0));
+        self.tick_shared(&mut main);
+        self.main = main;
+    }
+
+    /// Whether every core halted and all queues drained.
+    #[inline]
+    fn quiescent(&mut self) -> bool {
+        self.workers.iter().all(CoreComplex::quiescent) && self.dmcc.quiescent() && !self.dma.busy()
+    }
+
+    #[inline]
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Stuck harts with their dominant stall cause and last-polled
+    /// address, the frozen wait graph, and the deadlock-vs-slow verdict
+    /// over the declared sync words.
+    fn post_mortem(&self) -> PostMortem {
+        let mut stuck = Vec::new();
+        let mut graph = WaitGraph::new();
+        for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
+            stuck.extend(cc.stuck_unit(self.unit_name(i)));
+            cc.add_post_mortem_waits(&mut graph);
+        }
+        graph.add_breakdown(UnitClass::Dma, &self.dma_attr);
+        PostMortem::assemble(self.now, stuck, &self.sync_words, graph)
     }
 }
 

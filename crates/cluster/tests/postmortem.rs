@@ -7,6 +7,7 @@ use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
 use issr_mem::map::TCDM_BASE;
+use issr_snitch::cc::run_until_quiescent;
 use issr_trace::Classification;
 
 /// Flag word hart 0 owns (would write; never does in the deadlock).
@@ -53,7 +54,7 @@ fn crossed_spins_classify_as_deadlock_with_blame_cycle() {
     let mut cluster = Cluster::new(spin_program(true), ClusterParams::default());
     declare_flags(&mut cluster);
     let timeout = cluster.run(2_000).expect_err("the crossed spin can never finish");
-    let pm = timeout.post_mortem.as_ref().expect("run() arms the recorder and dumps");
+    let pm = &timeout.post_mortem;
     assert_eq!(pm.classification, Classification::Deadlock);
     assert_eq!(
         pm.blame_cycle,
@@ -76,6 +77,7 @@ fn crossed_spins_classify_as_deadlock_with_blame_cycle() {
     let text = format!("{timeout}");
     assert!(text.contains("deadlock"), "timeout display must carry the verdict:\n{text}");
     assert!(text.contains("c0 hart 0"), "display names the blamed units:\n{text}");
+    assert_eq!(text.matches("stuck: ").count(), 2, "each stuck hart is listed once:\n{text}");
     let sidecar = pm.sidecar_json();
     assert!(sidecar.get("traceEvents").is_some());
 }
@@ -85,7 +87,7 @@ fn one_sided_spin_classifies_as_slow() {
     let mut cluster = Cluster::new(spin_program(false), ClusterParams::default());
     declare_flags(&mut cluster);
     let timeout = cluster.run(2_000).expect_err("the orphan spin can never finish");
-    let pm = timeout.post_mortem.as_ref().expect("post-mortem present");
+    let pm = &timeout.post_mortem;
     // Hart 0 polls hart 1's flag, but hart 1 halted: no edge among the
     // stuck set, hence no cycle — stuck, but not provably deadlocked.
     assert_eq!(pm.classification, Classification::Slow);
@@ -96,19 +98,19 @@ fn one_sided_spin_classifies_as_slow() {
 
 #[test]
 fn post_mortem_is_timing_neutral() {
-    // The same deadlock with and without an explicit (larger) recorder
-    // times out at the same cycle with identical stuck sets: recording
-    // reads only latched state.
-    let run = |arm: bool| {
+    // The same deadlock with no observer at all and with the default
+    // flight recorder observing times out at the same cycle with
+    // identical stuck sets: the observer only reads the cluster.
+    let cluster = || {
         let mut cluster = Cluster::new(spin_program(true), ClusterParams::default());
         declare_flags(&mut cluster);
-        if arm {
-            cluster.enable_flight_recorder(1 << 16, 0);
-        }
-        cluster.run(1_500).expect_err("deadlock")
+        cluster
     };
-    let plain = run(false);
-    let armed = run(true);
-    assert_eq!(plain.stuck, armed.stuck);
-    assert_eq!(plain.post_mortem.as_ref().unwrap().at, armed.post_mortem.as_ref().unwrap().at);
+    let plain = run_until_quiescent(&mut cluster(), 1_500, |_| {}).expect_err("deadlock");
+    let recorded = cluster().run(1_500).expect_err("deadlock");
+    assert!(plain.post_mortem.transitions.is_empty(), "no observer, no window");
+    assert!(!recorded.post_mortem.transitions.is_empty());
+    assert_eq!(plain.post_mortem.at, recorded.post_mortem.at);
+    assert_eq!(plain.post_mortem.stuck, recorded.post_mortem.stuck);
+    assert_eq!(plain.post_mortem.classification, recorded.post_mortem.classification);
 }

@@ -36,9 +36,10 @@ use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
 use issr_mem::map::TCDM_BASE;
-use issr_snitch::cc::SimTimeout;
+use issr_snitch::cc::{Machine, SimTimeout};
 use issr_sparse::csr::CsrMatrix;
 use issr_system::system::{System, SystemParams, SystemSummary};
+use issr_trace::TraceRecorder;
 
 /// Claimed-block-id slots of the ready handshake (one per buffer), in
 /// the flag area below the data region. A negative id terminates the
@@ -270,15 +271,16 @@ pub fn run_system_csrmv_with<I: KernelIndex>(
     x: &[f64],
     params: SystemParams,
 ) -> Result<SystemCsrmvRun, SimTimeout> {
-    Ok(run_system_csrmv_inner(variant, m, x, params, None)?.0)
+    run_system_csrmv_observed(variant, m, x, params, None)
 }
 
-/// [`run_system_csrmv_with`] with the interval recorder enabled
-/// (`trace_cap` spans per track): returns the run plus the Chrome
-/// trace-event export — one track per hart, stream lane and DMA engine
-/// of every cluster, loadable at `ui.perfetto.dev`. Tracing only reads
-/// state the simulation latches anyway, so the run is cycle-identical
-/// to the untraced one.
+/// [`run_system_csrmv_with`] with `rec` observing every cycle: one
+/// Perfetto track per hart, stream lane and DMA engine of every cluster.
+/// The recorder is closed at the run's last cycle (export it with
+/// [`TraceRecorder::to_chrome_json`]); a timeout leaves an instant
+/// marker at the moment of death. Tracing only reads state the
+/// simulation latches anyway, so the run is cycle-identical to the
+/// untraced one.
 ///
 /// # Errors
 /// As [`run_system_csrmv_with`].
@@ -290,62 +292,38 @@ pub fn run_system_csrmv_traced<I: KernelIndex>(
     m: &CsrMatrix<I>,
     x: &[f64],
     params: SystemParams,
-    trace_cap: usize,
-) -> Result<(SystemCsrmvRun, issr_trace::Json), SimTimeout> {
-    let (run, trace) = run_system_csrmv_inner(variant, m, x, params, Some(trace_cap))?;
-    Ok((run, trace.expect("tracing was enabled")))
+    rec: &mut TraceRecorder,
+) -> Result<SystemCsrmvRun, SimTimeout> {
+    run_system_csrmv_observed(variant, m, x, params, Some(rec))
 }
 
-/// [`run_system_csrmv_with`] with the per-cluster post-mortem flight
-/// recorders armed (`recorder_cap` transitions each). The recorders
-/// read only latched per-tick state, so the run is bit- and
-/// cycle-identical to the plain one — the property the observability
-/// tests pin down.
-///
-/// # Errors
-/// As [`run_system_csrmv_with`].
-///
-/// # Panics
-/// As [`run_system_csrmv`].
-pub fn run_system_csrmv_recorded<I: KernelIndex>(
+fn run_system_csrmv_observed<I: KernelIndex>(
     variant: Variant,
     m: &CsrMatrix<I>,
     x: &[f64],
     params: SystemParams,
-    recorder_cap: usize,
+    rec: Option<&mut TraceRecorder>,
 ) -> Result<SystemCsrmvRun, SimTimeout> {
     let plan = ClusterCsrmvPlan::new(m, params.cluster.n_workers as u32);
     let program = build_system_csrmv::<I>(variant, &plan);
     let mut system = System::new(program, params);
-    system.enable_flight_recorders(recorder_cap);
     plan.marshal_into(system.main.array_mut(), m, x);
     system.set_work_queue(plan.queue_addr());
     let budget = 1_000_000 + 64 * m.nnz() as u64 + 1024 * m.nrows() as u64;
-    let summary = system.run(budget)?;
+    let summary = match rec {
+        None => system.run(budget)?,
+        Some(rec) => {
+            let tracks = system.register_tracks(rec);
+            let run = system.run_with(budget, |s| s.trace_sample(rec, &tracks));
+            if let Err(t) = &run {
+                rec.mark(0, format!("sim timeout after {} cycles", t.max_cycles), system.now());
+            }
+            rec.finish(system.now());
+            run?
+        }
+    };
     assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
     Ok(SystemCsrmvRun { y: plan.read_y_from(system.main.array()), summary })
-}
-
-fn run_system_csrmv_inner<I: KernelIndex>(
-    variant: Variant,
-    m: &CsrMatrix<I>,
-    x: &[f64],
-    params: SystemParams,
-    trace_cap: Option<usize>,
-) -> Result<(SystemCsrmvRun, Option<issr_trace::Json>), SimTimeout> {
-    let plan = ClusterCsrmvPlan::new(m, params.cluster.n_workers as u32);
-    let program = build_system_csrmv::<I>(variant, &plan);
-    let mut system = System::new(program, params);
-    if let Some(cap) = trace_cap {
-        system.enable_tracing(cap);
-    }
-    plan.marshal_into(system.main.array_mut(), m, x);
-    system.set_work_queue(plan.queue_addr());
-    let budget = 1_000_000 + 64 * m.nnz() as u64 + 1024 * m.nrows() as u64;
-    let summary = system.run(budget)?;
-    assert!(summary.traps().is_empty(), "system cores trapped: {:?}", summary.traps());
-    let trace = system.trace_json();
-    Ok((SystemCsrmvRun { y: plan.read_y_from(system.main.array()), summary }, trace))
 }
 
 #[cfg(test)]

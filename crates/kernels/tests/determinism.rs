@@ -15,6 +15,7 @@ use issr_kernels::variant::Variant;
 use issr_sparse::gen;
 use issr_sparse::CsrMatrix;
 use issr_system::system::SystemParams;
+use issr_trace::TraceRecorder;
 
 fn params(n_clusters: usize) -> SystemParams {
     SystemParams { n_clusters, ..SystemParams::default() }
@@ -30,13 +31,14 @@ struct Fingerprint {
 }
 
 fn system_csrmv_fingerprint(m: &CsrMatrix<u32>, x: &[f64]) -> Fingerprint {
-    let (run, trace) = run_system_csrmv_traced::<u32>(Variant::Issr, m, x, params(4), 4096)
+    let mut rec = TraceRecorder::new(4096);
+    let run = run_system_csrmv_traced::<u32>(Variant::Issr, m, x, params(4), &mut rec)
         .expect("system CsrMV completes");
     Fingerprint {
         out_bits: run.y.iter().map(|v| v.to_bits()).collect(),
         cycles: run.summary.cycles,
         attr: format!("{:?}", run.summary.clusters.iter().map(|c| &c.attr).collect::<Vec<_>>()),
-        trace: trace.to_string(),
+        trace: rec.to_chrome_json().to_string(),
     }
 }
 

@@ -18,7 +18,7 @@ use issr_mem::icache::{L0Buffer, L1ICache};
 use issr_mem::map::TCDM_BASE;
 use issr_mem::port::MemPort;
 use issr_mem::tcdm::{Tcdm, TcdmStats};
-use issr_trace::{CycleBreakdown, PostMortem, StallCause};
+use issr_trace::{CycleBreakdown, PostMortem, StallCause, StuckUnit, UnitClass, WaitGraph};
 
 /// One Snitch core complex.
 ///
@@ -125,23 +125,7 @@ impl CoreComplex {
     /// what a full tick does when [`CoreComplex::is_idle`] holds, as
     /// the idle-no-op property test pins down.
     pub fn tick_idle(&mut self) {
-        let instret_before = self.metrics.instret;
-        let roi_before = self.metrics.roi;
-        let hart = self.hart_cause(instret_before, &roi_before);
-        let mut probe = std::mem::take(&mut self.causes.streamer);
-        self.streamer.attr_probe_into(&mut probe);
-        self.metrics.cycles += 1;
-        self.cause_tally.record(hart);
-        if self.metrics.roi_active {
-            self.metrics.roi.cycles += 1;
-            self.attr.hart.record(hart);
-            for (table, &cause) in self.attr.lanes.iter_mut().zip(probe.lanes.iter()) {
-                table.record(cause);
-            }
-            self.attr.joiner.record(probe.joiner);
-            self.attr.spacc.record(probe.spacc);
-        }
-        self.causes = CcCauses { hart, streamer: probe };
+        self.account_cycle(self.metrics.instret, self.metrics.roi);
     }
 
     /// Advances the CC one cycle. `phys[0]` is the shared port, `phys[1..]`
@@ -202,11 +186,18 @@ impl CoreComplex {
         }
         // 5. Forward one combined request.
         self.shared.forward_requests(&mut phys[0]);
-        // 6. Account the cycle — and classify it. The hart cause comes
-        // from the counter deltas this tick produced; the stream units
-        // classify themselves. Recording happens here, exactly once per
-        // cycle, right where the ROI cycle counter advances — which is
-        // what makes every breakdown total equal the ROI cycles.
+        // 6. Account the cycle — and classify it.
+        self.account_cycle(instret_before, roi_before);
+    }
+
+    /// Advances the cycle counters and classifies the cycle. The hart
+    /// cause comes from the counter deltas since `instret_before` /
+    /// `roi_before`; the stream units classify themselves. Recording
+    /// happens here, exactly once per cycle, right where the ROI cycle
+    /// counter advances — which is what makes every breakdown total
+    /// equal the ROI cycles.
+    #[inline]
+    fn account_cycle(&mut self, instret_before: u64, roi_before: RoiCounters) {
         let hart = self.hart_cause(instret_before, &roi_before);
         // Reuse last cycle's probe buffer instead of allocating one.
         let mut probe = std::mem::take(&mut self.causes.streamer);
@@ -251,6 +242,34 @@ impl CoreComplex {
         StallCause::Idle
     }
 
+    /// This CC as a post-mortem stuck unit named `name`, or `None` once
+    /// it is quiescent: its PC, its dominant whole-lifetime stall cause
+    /// and the address it last loaded (the word a spinning hart polls).
+    #[must_use]
+    pub fn stuck_unit(&self, name: String) -> Option<StuckUnit> {
+        (!self.quiescent()).then(|| StuckUnit {
+            name,
+            hart: self.core.hartid(),
+            pc: self.core.pc(),
+            dominant: self.cause_tally.dominant(),
+            polls: self.core.last_load_addr(),
+        })
+    }
+
+    /// Adds this CC's blocked cycles to a post-mortem wait graph. The
+    /// hart contributes its whole-lifetime tally, not its ROI table: a
+    /// hung run often never opened (or never closed) an ROI, and the
+    /// dump must still show where the hart waited. The stream units
+    /// contribute their tables.
+    pub fn add_post_mortem_waits(&self, graph: &mut WaitGraph) {
+        graph.add_breakdown(UnitClass::Hart, &self.cause_tally);
+        for lane in &self.attr.lanes {
+            graph.add_breakdown(UnitClass::Lane, lane);
+        }
+        graph.add_breakdown(UnitClass::Joiner, &self.attr.joiner);
+        graph.add_breakdown(UnitClass::SpAcc, &self.attr.spacc);
+    }
+
     /// The most recent tick's classification of every unit, refreshed
     /// every cycle (inside the ROI or not) — the signal the cluster and
     /// system harnesses feed their interval-trace recorders.
@@ -260,98 +279,73 @@ impl CoreComplex {
     }
 }
 
-/// One hart that had not gone quiescent when a run timed out.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct StuckHart {
-    /// Cluster index within the system (0 for standalone runs).
-    pub cluster: usize,
-    /// Hart id within its cluster (workers `0..n_workers`, the DMCC is
-    /// `n_workers`).
-    pub hart: u32,
-    /// The hart's PC at the timeout.
-    pub pc: u32,
-    /// The cause the hart spent most of its lifetime cycles in — a
-    /// spinning hart reads `active`, a wedged one names its stall.
-    pub cause: StallCause,
-}
-
-impl std::fmt::Display for StuckHart {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cluster {} hart {} pc={:#010x} mostly {}",
-            self.cluster,
-            self.hart,
-            self.pc,
-            self.cause.label()
-        )
-    }
-}
-
 /// Why a run did not complete.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SimTimeout {
     /// The cycle limit that was exhausted.
     pub max_cycles: u64,
-    /// The PC of the first stuck hart (single-hart convenience; the
-    /// full picture is in [`SimTimeout::stuck`]).
-    pub pc: u32,
-    /// Every non-quiescent hart at the timeout, in cluster/hart order —
-    /// a multi-cluster deadlock names all its participants, not just
-    /// cluster 0's first worker.
-    pub stuck: Vec<StuckHart>,
-    /// The flight recorder's post-mortem report, when the run harness
-    /// assembled one (cluster and system runs always do). Boxed so the
-    /// error stays small on the happy path.
-    pub post_mortem: Option<Box<PostMortem>>,
-}
-
-impl SimTimeout {
-    /// Builds the error from the non-quiescent hart list; `pc` echoes
-    /// the first entry (0 when the stall is outside any hart, e.g. a
-    /// DMA engine that never drained).
-    #[must_use]
-    pub fn new(max_cycles: u64, stuck: Vec<StuckHart>) -> Self {
-        let pc = stuck.first().map_or(0, |s| s.pc);
-        Self { max_cycles, pc, stuck, post_mortem: None }
-    }
-
-    /// Attaches the flight recorder's post-mortem report.
-    #[must_use]
-    pub fn with_post_mortem(mut self, pm: PostMortem) -> Self {
-        self.post_mortem = Some(Box::new(pm));
-        self
-    }
+    /// The post-mortem report: every non-quiescent hart (in cluster /
+    /// hart order) with its PC and dominant stall cause, the frozen
+    /// wait graph and the deadlock-vs-slow verdict. Boxed so the error
+    /// stays small on the happy path.
+    pub post_mortem: Box<PostMortem>,
 }
 
 impl std::fmt::Display for SimTimeout {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "simulation exceeded {} cycles", self.max_cycles)?;
-        if self.stuck.is_empty() {
-            write!(f, " (no hart stuck; an engine or queue never drained)")?;
-        } else {
-            write!(f, "; {} hart(s) not quiescent:", self.stuck.len())?;
-            const SHOWN: usize = 8;
-            for (i, hart) in self.stuck.iter().take(SHOWN).enumerate() {
-                write!(f, "{} {hart}", if i == 0 { "" } else { "," })?;
-            }
-            if self.stuck.len() > SHOWN {
-                write!(
-                    f,
-                    ", +{} more ({} stuck in total)",
-                    self.stuck.len() - SHOWN,
-                    self.stuck.len()
-                )?;
-            }
+        match self.post_mortem.stuck.len() {
+            0 => write!(f, " (no hart stuck; an engine or queue never drained)")?,
+            n => write!(f, "; {n} hart(s) not quiescent")?,
         }
-        if let Some(pm) = &self.post_mortem {
-            write!(f, "\n{pm}")?;
-        }
-        Ok(())
+        write!(f, "\n{}", self.post_mortem)
     }
 }
 
 impl std::error::Error for SimTimeout {}
+
+/// A simulated machine the one run loop, [`run_until_quiescent`], can
+/// drive: the single-CC harness, a cluster, or a multi-cluster system.
+pub trait Machine {
+    /// Advances the machine one cycle.
+    fn tick(&mut self);
+    /// Whether the machine halted and drained. Quiescence is terminal,
+    /// so an implementation may memoize parts of the check.
+    fn quiescent(&mut self) -> bool;
+    /// Cycles ticked so far; after a tick, `now() - 1` is the cycle
+    /// that just ran.
+    fn now(&self) -> u64;
+    /// The post-mortem of the machine's current state: its stuck harts
+    /// and wait graph (no recent-transition window — that belongs to
+    /// whichever flight recorder observed the run).
+    fn post_mortem(&self) -> PostMortem;
+}
+
+/// Ticks `machine` until it is quiescent, calling `observe` after every
+/// tick. The observer sees the machine only through a shared reference,
+/// so whatever it records (flight recorder, Perfetto tracks, a phase
+/// profile) cannot change a simulated bit or cycle; it runs after the
+/// cycle counter advanced, so it stamps its samples `now() - 1`.
+///
+/// # Errors
+/// Returns [`SimTimeout`], carrying the machine's post-mortem, if the
+/// machine is not quiescent within `max_cycles` ticks.
+#[inline]
+pub fn run_until_quiescent<M: Machine>(
+    machine: &mut M,
+    max_cycles: u64,
+    mut observe: impl FnMut(&M),
+) -> Result<(), SimTimeout> {
+    let deadline = machine.now() + max_cycles;
+    while machine.now() < deadline {
+        machine.tick();
+        observe(machine);
+        if machine.quiescent() {
+            return Ok(());
+        }
+    }
+    Err(SimTimeout { max_cycles, post_mortem: Box::new(machine.post_mortem()) })
+}
 
 /// Result of a completed single-CC run.
 #[derive(Clone, Debug)]
@@ -468,8 +462,29 @@ impl SingleCcSim {
         }
     }
 
+    /// Runs until the CC is quiescent.
+    ///
+    /// # Errors
+    /// Returns [`SimTimeout`] if the CC does not go quiescent within
+    /// `max_cycles`.
+    pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimTimeout> {
+        run_until_quiescent(self, max_cycles, |_| {})?;
+        Ok(RunSummary {
+            cycles: self.now,
+            metrics: self.cc.metrics,
+            lane_stats: self.cc.streamer.stats(),
+            joiner_stats: self.cc.streamer.joiner_stats(),
+            spacc_stats: self.cc.streamer.spacc_stats(),
+            tcdm_stats: self.mem.stats(),
+            attr: self.cc.attr.clone(),
+            trap: self.cc.core.trap(),
+        })
+    }
+}
+
+impl Machine for SingleCcSim {
     /// Advances the CC and its ideal memory one cycle.
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         let now = self.now;
         // Host self-profiler (opt-in, read-only): the single CC is its
         // own "workers" class, the ideal memory is "mem".
@@ -488,37 +503,22 @@ impl SingleCcSim {
         self.now += 1;
     }
 
-    /// Runs until the CC is quiescent.
-    ///
-    /// # Errors
-    /// Returns [`SimTimeout`] if the CC does not go quiescent within
-    /// `max_cycles`.
-    pub fn run(&mut self, max_cycles: u64) -> Result<RunSummary, SimTimeout> {
-        let deadline = self.now + max_cycles;
-        while self.now < deadline {
-            self.tick();
-            if self.cc.quiescent() {
-                return Ok(RunSummary {
-                    cycles: self.now,
-                    metrics: self.cc.metrics,
-                    lane_stats: self.cc.streamer.stats(),
-                    joiner_stats: self.cc.streamer.joiner_stats(),
-                    spacc_stats: self.cc.streamer.spacc_stats(),
-                    tcdm_stats: self.mem.stats(),
-                    attr: self.cc.attr.clone(),
-                    trap: self.cc.core.trap(),
-                });
-            }
-        }
-        Err(SimTimeout::new(
-            max_cycles,
-            vec![StuckHart {
-                cluster: 0,
-                hart: self.cc.core.hartid(),
-                pc: self.cc.core.pc(),
-                cause: self.cc.cause_tally.dominant(),
-            }],
-        ))
+    #[inline]
+    fn quiescent(&mut self) -> bool {
+        self.cc.quiescent()
+    }
+
+    #[inline]
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn post_mortem(&self) -> PostMortem {
+        let hart = self.cc.core.hartid();
+        let mut graph = WaitGraph::new();
+        self.cc.add_post_mortem_waits(&mut graph);
+        let stuck = self.cc.stuck_unit(format!("hart {hart}")).into_iter().collect();
+        PostMortem::assemble(self.now, stuck, &[], graph)
     }
 }
 
@@ -1018,5 +1018,12 @@ mod tests {
         let mut sim = SingleCcSim::new(a.finish().unwrap());
         let err = sim.run(100).unwrap_err();
         assert_eq!(err.max_cycles, 100);
+        // The single-CC post-mortem names hart 0, spinning at its loop PC.
+        assert_eq!(err.post_mortem.at, 100);
+        assert_eq!(err.post_mortem.stuck.len(), 1);
+        let hart = &err.post_mortem.stuck[0];
+        assert_eq!((hart.name.as_str(), hart.hart, hart.pc), ("hart 0", 0, 0));
+        let text = err.to_string();
+        assert_eq!(text.matches("hart 0").count(), 1, "each stuck hart is listed once:\n{text}");
     }
 }

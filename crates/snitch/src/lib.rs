@@ -21,7 +21,9 @@ pub mod params;
 pub mod shared;
 
 pub use attr::{CcAttribution, CcCauses};
-pub use cc::{CoreComplex, RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA};
+pub use cc::{
+    run_until_quiescent, CoreComplex, Machine, RunSummary, SimTimeout, SingleCcSim, SINGLE_CC_ARENA,
+};
 pub use core::{SnitchCore, Trap, TrapCause};
 pub use fpu::{FpOp, FpuSubsystem};
 pub use metrics::{Metrics, RoiCounters};

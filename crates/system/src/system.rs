@@ -17,14 +17,15 @@
 //! ticket counter ([`System::set_work_queue`]) from which the clusters'
 //! DMCCs claim row-panel tiles of a shared work queue.
 
-use issr_cluster::cluster::{Cluster, ClusterParams, ClusterSummary, ClusterTracks};
+use issr_cluster::cluster::{
+    Cluster, ClusterParams, ClusterSummary, ClusterTracks, FlightRecorder,
+};
 use issr_isa::asm::Program;
 use issr_mem::dma::DmaStats;
 use issr_mem::main_mem::{MainMemStats, MainMemory};
 use issr_mem::map::{MAIN_BASE, MAIN_SIZE};
-use issr_snitch::cc::{SimTimeout, StuckHart};
+use issr_snitch::cc::{run_until_quiescent, Machine, SimTimeout};
 use issr_snitch::core::Trap;
-use issr_trace::blackbox::DEFAULT_BLACKBOX_CAP;
 use issr_trace::{merge::merge_all, PostMortem, TraceRecorder};
 
 /// System configuration.
@@ -130,17 +131,9 @@ pub struct System {
     rr: usize,
     now: u64,
     overlap_cycles: u64,
-    trace: Option<SystemTrace>,
-    /// Per-cluster quiescence, memoized by [`System::run`]: halting is
+    /// Per-cluster quiescence, memoized by the run loop: halting is
     /// terminal, so a cluster once quiescent is never re-checked.
     done: Vec<bool>,
-}
-
-/// The opt-in interval recorder plus the per-cluster track handles.
-#[derive(Debug)]
-struct SystemTrace {
-    rec: TraceRecorder,
-    tracks: Vec<ClusterTracks>,
 }
 
 impl System {
@@ -150,7 +143,7 @@ impl System {
     pub fn new(program: Program, params: SystemParams) -> Self {
         assert!(params.n_clusters >= 1, "a system needs at least one cluster");
         let clusters = (0..params.n_clusters)
-            .map(|_| Cluster::new_for_system(program.clone(), params.cluster))
+            .map(|i| Cluster::new_for_system(program.clone(), params.cluster, i))
             .collect();
         let main = MainMemory::new(MAIN_BASE, MAIN_SIZE)
             .with_dma_bandwidth(params.dma_words_per_cycle)
@@ -161,7 +154,6 @@ impl System {
             rr: 0,
             now: 0,
             overlap_cycles: 0,
-            trace: None,
             done: vec![false; params.n_clusters],
         }
     }
@@ -175,38 +167,28 @@ impl System {
         1
     }
 
-    /// Enables interval tracing with a ring of at most `cap` spans:
-    /// registers one track per hart, per worker lane and per DMA engine
-    /// in every cluster (cluster index = Perfetto process id) and
-    /// samples them each cycle from then on. The recorder only *reads*
-    /// latched per-tick state, so enabling it cannot change timing.
-    pub fn enable_tracing(&mut self, cap: usize) {
-        let mut rec = TraceRecorder::new(cap);
-        let tracks = self
-            .clusters
+    /// Registers one track per hart, per worker lane and per DMA engine
+    /// of every cluster in `rec` (cluster index = Perfetto process id).
+    #[must_use]
+    pub fn register_tracks(&self, rec: &mut TraceRecorder) -> Vec<ClusterTracks> {
+        self.clusters
             .iter()
             .enumerate()
-            .map(|(pid, c)| c.register_tracks(&mut rec, pid as u32))
-            .collect();
-        self.trace = Some(SystemTrace { rec, tracks });
+            .map(|(pid, c)| c.register_tracks(rec, pid as u32))
+            .collect()
     }
 
-    /// Closes all open spans and returns the Chrome trace-event
-    /// document, or `None` if tracing was never enabled. Tracing
-    /// continues if the system keeps running afterwards.
-    pub fn trace_json(&mut self) -> Option<issr_trace::Json> {
-        let now = self.now;
-        self.trace.as_mut().map(|t| {
-            t.rec.finish(now);
-            t.rec.to_chrome_json()
-        })
-    }
-
-    /// The live recorder, if tracing is enabled (tests inspect track
-    /// and span counts through this).
-    #[must_use]
-    pub fn trace_recorder(&self) -> Option<&TraceRecorder> {
-        self.trace.as_ref().map(|t| &t.rec)
+    /// Samples the cycle that just ran into `rec` — the Perfetto
+    /// observer for [`System::run_with`]. It only reads latched per-tick
+    /// state, so tracing cannot change timing.
+    pub fn trace_sample(&self, rec: &mut TraceRecorder, tracks: &[ClusterTracks]) {
+        // A saturated recorder accepts nothing: skip the walk over
+        // every track of every cluster (pure overhead then).
+        if !rec.saturated() {
+            for (cluster, tracks) in self.clusters.iter().zip(tracks) {
+                cluster.trace_sample(rec, tracks, self.now - 1);
+            }
+        }
     }
 
     /// Designates `addr` (in main memory) as the hardware fetch-and-add
@@ -216,36 +198,61 @@ impl System {
         self.main.set_fetch_add_word(addr);
     }
 
-    /// Arms every cluster's post-mortem flight recorder with a ring of
-    /// `cap` recent transitions each ([`System::run`] does this
-    /// automatically with the default capacity). Timing-neutral.
-    pub fn enable_flight_recorders(&mut self, cap: usize) {
-        for (ci, cluster) in self.clusters.iter_mut().enumerate() {
-            cluster.enable_flight_recorder(cap, ci);
-        }
-    }
-
     /// Declares `addr` a synchronization word owned by `owner_hart` of
     /// cluster `cluster` — see [`Cluster::declare_sync_word`].
     pub fn declare_sync_word(&mut self, cluster: usize, addr: u32, owner_hart: u32) {
         self.clusters[cluster].declare_sync_word(addr, owner_hart);
     }
 
-    /// The system-wide post-mortem: every cluster's report merged (stuck
-    /// units, wait graphs, recorder contents, blame cycles).
-    #[must_use]
-    pub fn post_mortem(&self) -> PostMortem {
-        PostMortem::merge(
-            self.clusters.iter().enumerate().map(|(ci, c)| c.post_mortem(ci)).collect(),
-        )
+    /// Runs to quiescence.
+    ///
+    /// # Errors
+    /// Returns [`SimTimeout`] if the system does not finish in
+    /// `max_cycles` (deadlock or bug); its post-mortem lists every hart
+    /// that was not quiescent, with its cluster index and current PC.
+    pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
+        self.run_with(max_cycles, |_| {})
     }
 
-    /// Whether every cluster halted and drained.
-    #[must_use]
-    pub fn quiescent(&self) -> bool {
-        self.clusters.iter().all(Cluster::quiescent)
+    /// [`System::run`] with `observe` called after every tick, beside
+    /// the default flight recorder (e.g. [`System::trace_sample`]).
+    ///
+    /// # Errors
+    /// As [`System::run`].
+    pub fn run_with(
+        &mut self,
+        max_cycles: u64,
+        mut observe: impl FnMut(&Self),
+    ) -> Result<SystemSummary, SimTimeout> {
+        let mut flight = FlightRecorder::new(&self.clusters);
+        let observe = |s: &Self| {
+            flight.sample(&s.clusters);
+            observe(s);
+        };
+        run_until_quiescent(self, max_cycles, observe).map_err(|mut t| {
+            t.post_mortem.attach(flight.black_box());
+            t
+        })?;
+        let mut summary = self.summary();
+        for pm in summary.clusters.iter_mut().filter_map(|c| c.post_mortem.as_mut()) {
+            pm.attach(flight.black_box());
+        }
+        Ok(summary)
     }
 
+    /// Snapshot of the run statistics.
+    #[must_use]
+    pub fn summary(&self) -> SystemSummary {
+        SystemSummary {
+            cycles: self.now,
+            clusters: self.clusters.iter().map(Cluster::summary).collect(),
+            main: self.main.stats,
+            overlap_cycles: self.overlap_cycles,
+        }
+    }
+}
+
+impl Machine for System {
     /// Advances the whole system one cycle: one shared-bandwidth window,
     /// clusters granted in rotating round-robin order.
     ///
@@ -253,7 +260,7 @@ impl System {
     /// cycle's rotated grant order on the calling thread, so the run is
     /// deterministic: the same input always yields the same bits,
     /// cycles and attribution.
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         issr_trace::host::cycle();
         self.main.begin_dma_cycle();
         let n = self.clusters.len();
@@ -268,68 +275,32 @@ impl System {
         if dma_moved && in_roi {
             self.overlap_cycles += 1;
         }
-        if let Some(trace) = &mut self.trace {
-            // A saturated recorder accepts nothing: skip the walk over
-            // every track of every cluster (pure overhead then).
-            if !trace.rec.saturated() {
-                for (cluster, tracks) in self.clusters.iter().zip(trace.tracks.iter()) {
-                    cluster.trace_sample(&mut trace.rec, tracks, self.now);
-                }
-            }
-        }
         self.rr = (self.rr + 1) % n;
         self.now += 1;
     }
 
-    /// Runs to quiescence.
-    ///
-    /// # Errors
-    /// Returns [`SimTimeout`] if the system does not finish in
-    /// `max_cycles` (deadlock or bug); the error lists every hart that
-    /// was not quiescent, with its cluster index and current PC.
-    pub fn run(&mut self, max_cycles: u64) -> Result<SystemSummary, SimTimeout> {
-        // Arm default flight recorders so a timeout dump always carries
-        // recent history (recording is timing-neutral; see the cluster).
-        // Only unarmed clusters: re-arming would reset a caller's ring.
-        for (ci, cluster) in self.clusters.iter_mut().enumerate() {
-            if !cluster.flight_recorder_armed() {
-                cluster.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, ci);
+    /// Whether every cluster halted and drained; clusters already seen
+    /// quiescent are not re-checked.
+    fn quiescent(&mut self) -> bool {
+        let mut all = true;
+        for (done, cluster) in self.done.iter_mut().zip(&mut self.clusters) {
+            if !*done {
+                *done = cluster.quiescent();
             }
+            all &= *done;
         }
-        let deadline = self.now + max_cycles;
-        while self.now < deadline {
-            self.tick();
-            // Quiescence is terminal (halting is sticky, queues only
-            // drain), so clusters already seen quiescent are skipped.
-            let mut all = true;
-            for (done, cluster) in self.done.iter_mut().zip(&self.clusters) {
-                if !*done {
-                    *done = cluster.quiescent();
-                }
-                all &= *done;
-            }
-            if all {
-                return Ok(self.summary());
-            }
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.rec.mark(0, format!("sim timeout after {max_cycles} cycles"), self.now);
-        }
-        let stuck: Vec<StuckHart> =
-            self.clusters.iter().enumerate().flat_map(|(ci, c)| c.stuck_harts(ci)).collect();
-        let pm = self.post_mortem();
-        Err(SimTimeout::new(max_cycles, stuck).with_post_mortem(pm))
+        all
     }
 
-    /// Snapshot of the run statistics.
-    #[must_use]
-    pub fn summary(&self) -> SystemSummary {
-        SystemSummary {
-            cycles: self.now,
-            clusters: self.clusters.iter().map(Cluster::summary).collect(),
-            main: self.main.stats,
-            overlap_cycles: self.overlap_cycles,
-        }
+    #[inline]
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Every cluster's report merged (stuck units, wait graphs, blame
+    /// cycles).
+    fn post_mortem(&self) -> PostMortem {
+        PostMortem::merge(self.clusters.iter().map(Machine::post_mortem).collect())
     }
 }
 
@@ -474,27 +445,45 @@ mod tests {
         let build = || dma_pull_program(128, n_workers as u32);
         let plain = System::new(build(), params(2)).run(100_000).unwrap();
         let mut sys = System::new(build(), params(2));
-        sys.enable_tracing(4096);
-        let traced = sys.run(100_000).unwrap();
+        let mut rec = TraceRecorder::new(4096);
+        let tracks = sys.register_tracks(&mut rec);
+        let traced = sys.run_with(100_000, |s| s.trace_sample(&mut rec, &tracks)).unwrap();
         assert_eq!(traced.cycles, plain.cycles, "tracing must not alter timing");
         assert_eq!(traced.total_dma_words(), plain.total_dma_words());
         // Tracks: per cluster, one per worker hart + 2 lanes each,
         // the DMCC and the DMA engine.
         let per_cluster = n_workers + 2 * n_workers + 1 + 1;
-        let rec = sys.trace_recorder().expect("tracing enabled");
         assert_eq!(rec.n_tracks(), 2 * per_cluster);
         assert!(rec.n_spans() > 0, "the DMA pull must produce busy spans");
         // Per-cluster DMA attribution covers every cluster cycle.
         for c in &traced.clusters {
             assert_eq!(c.attr.dma.total(), c.cycles);
         }
-        let doc = sys.trace_json().expect("export");
+        rec.finish(traced.cycles);
+        let doc = rec.to_chrome_json();
         let events = doc.get("traceEvents").and_then(issr_trace::Json::as_arr).expect("events");
         let metas = events
             .iter()
             .filter(|e| e.get("ph").and_then(issr_trace::Json::as_str) == Some("M"))
             .count();
         assert_eq!(metas, 2 * per_cluster, "every track must be named");
+    }
+
+    /// A timeout's post-mortem names every stuck hart by its cluster,
+    /// and the default flight recorder's window covers every cluster.
+    #[test]
+    fn timeout_post_mortem_names_every_cluster() {
+        let mut a = Assembler::new();
+        let spin = a.bind_label();
+        a.j(spin);
+        let err = System::new(a.finish().unwrap(), params(2)).run(500).unwrap_err();
+        let pm = &err.post_mortem;
+        let n_harts = ClusterParams::default().n_workers + 1;
+        assert_eq!(pm.stuck.len(), 2 * n_harts, "every hart of both clusters spins");
+        assert!(pm.stuck.iter().any(|s| s.name == "c1 hart 0"));
+        assert!(pm.unit_names.contains(&"c1 dma".to_owned()));
+        assert!(!pm.transitions.is_empty());
+        assert_eq!(err.to_string().matches("stuck: c1 dmcc").count(), 1);
     }
 
     #[test]

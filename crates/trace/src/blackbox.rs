@@ -6,15 +6,17 @@
 //! timeline, the black box keeps the *tail* — the most recent
 //! transitions before a `SimTimeout` or a latched stream fault, which
 //! is the forensic window that matters once a run is already dead. It
-//! is timing-neutral by the same construction: the run harnesses sample
-//! latched post-tick state once per cycle, and only cause *changes*
-//! cost a ring slot, so a wedged steady-state run records almost
-//! nothing per cycle.
+//! is timing-neutral by the same construction: it is fed by a run-loop
+//! observer (`issr_cluster::FlightRecorder`) that sees the machine
+//! only through a shared reference after each tick and samples its
+//! latched classifications, and only cause *changes* cost a ring slot,
+//! so a wedged steady-state run records almost nothing per cycle.
 //!
 //! The [`PostMortem`] report assembles the frozen picture: each stuck
 //! unit with its dominant stall cause and the sync word it was polling,
 //! the cumulative wait graph, cycle detection over the poll edges
-//! (deadlock vs. merely slow), and the recent-transition window — which
+//! (deadlock vs. merely slow) — every `SimTimeout` carries one — and
+//! the recent-transition window ([`PostMortem::attach`]) — which
 //! [`PostMortem::sidecar_json`] also exports as a Chrome trace-event
 //! document so the final window can be eyeballed in Perfetto.
 
@@ -245,14 +247,15 @@ pub struct PostMortem {
 impl PostMortem {
     /// Builds the report from the frozen pieces, classifying via cycle
     /// detection over the stuck units' poll edges: `sync_words` maps a
-    /// flag-word address to the hart that owns (writes) it.
+    /// flag-word address to the hart that owns (writes) it. The
+    /// recent-transition window starts empty; [`PostMortem::attach`]
+    /// fills it from the recorder that observed the run.
     #[must_use]
     pub fn assemble(
         at: u64,
         stuck: Vec<StuckUnit>,
         sync_words: &[(u32, u32)],
         wait_graph: WaitGraph,
-        recorder: Option<&BlackBox>,
     ) -> Self {
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (i, s) in stuck.iter().enumerate() {
@@ -276,28 +279,27 @@ impl PostMortem {
             blame_cycle,
             stuck,
             wait_graph,
-            unit_names: recorder.map(BlackBox::unit_names).unwrap_or_default(),
-            transitions: recorder.map(BlackBox::transitions).unwrap_or_default(),
-            evicted: recorder.map_or(0, BlackBox::evicted),
-        }
-    }
-
-    /// Merges per-cluster reports into one (unit indices re-based,
-    /// transitions re-sorted by cycle; deadlock wins the
-    /// classification and the first deadlocked report provides the
-    /// blame cycle).
-    #[must_use]
-    pub fn merge(parts: Vec<PostMortem>) -> Self {
-        let mut out = PostMortem {
-            at: 0,
-            classification: Classification::Slow,
-            blame_cycle: Vec::new(),
-            stuck: Vec::new(),
-            wait_graph: WaitGraph::new(),
             unit_names: Vec::new(),
             transitions: Vec::new(),
             evicted: 0,
-        };
+        }
+    }
+
+    /// Replaces the recent-transition window with `recorder`'s.
+    pub fn attach(&mut self, recorder: &BlackBox) {
+        self.unit_names = recorder.unit_names();
+        self.transitions = recorder.transitions();
+        self.evicted = recorder.evicted();
+    }
+
+    /// Merges per-cluster reports into one: stuck units concatenated,
+    /// wait graphs summed, deadlock wins the classification and the
+    /// first deadlocked report provides the blame cycle. Transition
+    /// windows are not merged: attach the recorder that observed the
+    /// whole machine to the result ([`PostMortem::attach`]).
+    #[must_use]
+    pub fn merge(parts: Vec<PostMortem>) -> Self {
+        let mut out = PostMortem::assemble(0, Vec::new(), &[], WaitGraph::new());
         for part in parts {
             out.at = out.at.max(part.at);
             if part.classification == Classification::Deadlock
@@ -306,16 +308,10 @@ impl PostMortem {
                 out.classification = Classification::Deadlock;
                 out.blame_cycle = part.blame_cycle;
             }
-            let base = out.unit_names.len();
-            out.unit_names.extend(part.unit_names);
-            out.transitions
-                .extend(part.transitions.iter().map(|t| Transition { unit: t.unit + base, ..*t }));
             out.stuck.extend(part.stuck);
             use crate::merge::StatMerge;
             out.wait_graph.merge_from(&part.wait_graph);
-            out.evicted += part.evicted;
         }
-        out.transitions.sort_by_key(|t| (t.cycle, t.unit));
         out
     }
 
@@ -493,7 +489,7 @@ mod tests {
         ];
         // hart 0 polls the word hart 1 owns and vice versa.
         let sync = [(0x2000u32, 1u32), (0x2008, 0)];
-        let pm = PostMortem::assemble(500, stuck, &sync, WaitGraph::new(), None);
+        let pm = PostMortem::assemble(500, stuck, &sync, WaitGraph::new());
         assert_eq!(pm.classification, Classification::Deadlock);
         assert_eq!(pm.blame_cycle, vec!["c0 hart 0".to_owned(), "c0 hart 1".to_owned()]);
         let text = format!("{pm}");
@@ -510,7 +506,7 @@ mod tests {
             dominant: StallCause::BarrierWait,
             polls: None,
         }];
-        let pm = PostMortem::assemble(10, stuck, &[], WaitGraph::new(), None);
+        let pm = PostMortem::assemble(10, stuck, &[], WaitGraph::new());
         assert_eq!(pm.classification, Classification::Slow);
         assert!(pm.blame_cycle.is_empty());
     }
@@ -526,15 +522,12 @@ mod tests {
         }];
         // The hart owns the word it polls (e.g. DMA will set it): no
         // hart-to-hart edge, so no deadlock verdict.
-        let pm = PostMortem::assemble(10, stuck, &[(0x2000, 0)], WaitGraph::new(), None);
+        let pm = PostMortem::assemble(10, stuck, &[(0x2000, 0)], WaitGraph::new());
         assert_eq!(pm.classification, Classification::Slow);
     }
 
     #[test]
-    fn merge_rebases_units_and_prefers_deadlock() {
-        let mut bb = BlackBox::new(8);
-        let u = bb.add_unit("c1 hart 0");
-        bb.sample(u, 3, StallCause::Active);
+    fn merge_prefers_deadlock_and_keeps_every_stuck_unit() {
         let slow = PostMortem::assemble(
             7,
             vec![StuckUnit {
@@ -546,7 +539,6 @@ mod tests {
             }],
             &[],
             WaitGraph::new(),
-            Some(&bb),
         );
         let dead = PostMortem::assemble(
             9,
@@ -568,16 +560,12 @@ mod tests {
             ],
             &[(0x10, 1), (0x18, 0)],
             WaitGraph::new(),
-            None,
         );
         let merged = PostMortem::merge(vec![slow, dead]);
         assert_eq!(merged.at, 9);
         assert_eq!(merged.classification, Classification::Deadlock);
         assert_eq!(merged.blame_cycle.len(), 2);
         assert_eq!(merged.stuck.len(), 3);
-        assert_eq!(merged.unit_names, vec!["c1 hart 0".to_owned()]);
-        assert_eq!(merged.transitions.len(), 1);
-        assert_eq!(merged.transitions[0].unit, 0);
     }
 
     #[test]
@@ -588,7 +576,7 @@ mod tests {
         bb.sample(u, 6, StallCause::FifoEmpty);
         let mut wg = WaitGraph::new();
         wg.add(EdgeClass::HartLane, 4);
-        let pm = PostMortem::assemble(
+        let mut pm = PostMortem::assemble(
             10,
             vec![StuckUnit {
                 name: "hart 0".into(),
@@ -599,8 +587,8 @@ mod tests {
             }],
             &[],
             wg,
-            Some(&bb),
         );
+        pm.attach(&bb);
         let doc = pm.sidecar_json();
         let events = doc.get("traceEvents").and_then(Json::as_arr).expect("events");
         let spans: Vec<_> =

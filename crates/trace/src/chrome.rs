@@ -1,14 +1,14 @@
 //! Opt-in interval tracing with Chrome trace-event export.
 //!
 //! The recorder observes unit occupancy from *outside* the timing model
-//! (the run harnesses sample public state once per cycle), so enabling
-//! it cannot change simulated behavior — the invariance the property
-//! tests pin down. Spans live in a bounded buffer: once the cap is hit
+//! (a run-loop observer samples the machine through a shared reference
+//! once per cycle), so enabling it cannot change simulated behavior —
+//! the invariance the property tests pin down. Spans live in a bounded buffer: once the cap is hit
 //! further events are dropped and counted, so a full-size
 //! `system_spgemm` run keeps the head of its timeline at a fixed memory
 //! cost instead of growing without bound. A recorder whose buffers are
 //! all full is [`TraceRecorder::saturated`] — it can accept nothing
-//! more, and the run harnesses stop sampling it entirely (the per-cycle
+//! more, and the observers stop sampling it entirely (the per-cycle
 //! walk over every track is pure overhead at that point).
 //!
 //! The export is the Chrome trace-event JSON array format: complete

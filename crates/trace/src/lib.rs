@@ -30,8 +30,13 @@
 //!   that loads directly in Perfetto (`ui.perfetto.dev`).
 //! * [`blackbox`] — the flight recorder: a bounded ring of *recent*
 //!   per-unit state transitions (the tail, where [`chrome`] keeps the
-//!   head) and the [`PostMortem`] report the run harnesses dump on
-//!   timeout or a latched fault.
+//!   head) and the [`PostMortem`] report every `SimTimeout` carries
+//!   (and a trapped cluster run's summary).
+//!
+//! Both recorders are fed by observers of the one run loop
+//! (`issr_snitch::cc::run_until_quiescent`), which see the machine only
+//! through a shared reference after each tick: recording cannot change
+//! a simulated bit or cycle.
 //! * [`host`] — the opt-in host-side self-profiler: wall-clock per
 //!   unit class, the provably-idle tick census, simulated-cycles/sec.
 //! * [`json`] — a minimal JSON value/writer/parser ([`Json`]) for the

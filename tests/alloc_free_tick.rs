@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use issr::cluster::{Cluster, ClusterParams};
+use issr::cluster::{Cluster, ClusterParams, FlightRecorder};
 use issr::core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
 use issr::core::serializer::IndexSize;
 use issr::isa::asm::{Assembler, Program};
@@ -15,8 +15,7 @@ use issr::isa::instr::Stagger;
 use issr::isa::reg::{FpReg as F, IntReg as R};
 use issr::isa::Csr;
 use issr::mem::map::{MAIN_BASE, TCDM_BASE};
-use issr::snitch::cc::SingleCcSim;
-use issr_trace::blackbox::DEFAULT_BLACKBOX_CAP;
+use issr::snitch::cc::{Machine, SingleCcSim};
 
 struct CountingAlloc;
 
@@ -191,12 +190,15 @@ fn single_cc_tick_does_not_allocate() {
 fn cluster_tick_does_not_allocate() {
     let params = ClusterParams::default();
     let mut cluster = Cluster::new(steady_program(), params);
-    cluster.enable_flight_recorder(DEFAULT_BLACKBOX_CAP, 0);
+    let mut flight = FlightRecorder::new(std::slice::from_ref(&cluster));
     let mut dots = Vec::new();
     for hart in 0..params.n_workers as u32 {
         dots.push(marshal(hart, |addr, v| cluster.tcdm.array_mut().store_u64(addr, v)));
     }
-    assert_no_allocs("cluster", || cluster.tick());
+    assert_no_allocs("cluster", || {
+        cluster.tick();
+        flight.sample(std::slice::from_ref(&cluster));
+    });
     for (hart, dot) in dots.iter().enumerate() {
         let out = TCDM_BASE + (hart as u32 + 1) * BLOCK + OUT as u32;
         assert_eq!(cluster.tcdm.array().load_f64(out), *dot, "hart {hart} stream loop result");
