@@ -131,7 +131,7 @@ fn main() {
     t.push("verdict", verdict.to_json());
     let critpath = issr_bench::critical::cc_critical_path(&summary);
     println!("{}", issr_bench::critical::critical_path_line("spvv 0.5 overlap", &critpath));
-    t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
+    t.push("critical_path", critpath.to_json());
     t.set_host(issr_trace::host::report());
 
     if let Some(path) = telemetry::json_arg() {

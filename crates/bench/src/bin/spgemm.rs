@@ -323,7 +323,7 @@ fn main() {
         "{}",
         issr_bench::critical::critical_path_line(&format!("spgemm {}", last.label), &critpath)
     );
-    t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
+    t.push("critical_path", critpath.to_json());
 
     // The two-pass cluster kernel's phases, resolved by PC sampling:
     // where the symbolic, scan and numeric passes each burn cycles.

@@ -186,7 +186,7 @@ fn attribution_report() -> SystemAttributionReport {
     let mut rng = gen::rng(8_800);
     let m = gen::csr_uniform::<u16>(&mut rng, 2000, 512, 40_000);
     let x = gen::dense_vector(&mut rng, 512);
-    let report = system_csrmv_attribution(&m, &x, 2, 65_536);
+    let report = system_csrmv_attribution(&m, &x, 2, 131_072);
     let mut rows = Vec::new();
     for (i, c) in report.summary.clusters.iter().enumerate() {
         rows.extend(c.attr.merged_workers().rows(&format!("c{i}/workers/")));
@@ -217,7 +217,7 @@ fn main() {
     t.push("verdict", verdict.to_json());
     let critpath = issr_bench::critical::system_critical_path(&report.summary);
     println!("{}", issr_bench::critical::critical_path_line("system_csrmv x2", &critpath));
-    t.push("critical_path", issr_bench::critical::critical_path_section(&critpath, &verdict));
+    t.push("critical_path", critpath.to_json());
     t.set_host(issr_trace::host::report());
     if let Some(path) = telemetry::json_arg() {
         t.write(&path).expect("write BENCH json");

@@ -1,18 +1,17 @@
 //! Critical-path sections for the `BENCH_*.json` envelopes.
 //!
 //! Thin adapters from the simulator's three run-summary shapes to
-//! [`issr_trace::critpath::extract`], plus the one JSON section every
-//! bench binary emits: the exact cycle partition (`compute` + per-edge
-//! cycles == `length`), the dominant edge with its what-if savings
-//! bound, and a cross-check against the roofline verdict the same
-//! envelope already carries — two independent models that should (and
-//! are reported whether they) agree on what the run is bound by.
+//! [`issr_trace::critpath::extract`]. Every bench binary emits the path
+//! as its `critical_path` section ([`CriticalPath::to_json`]): the exact
+//! cycle partition (`compute` + per-edge cycles == `length`) and the
+//! dominant edge with its what-if savings bound. The roofline verdict
+//! beside it says what kind of bound applies; the path says where the
+//! cycles went.
 
 use issr_cluster::cluster::ClusterSummary;
 use issr_snitch::cc::RunSummary;
 use issr_system::system::SystemSummary;
-use issr_trace::analyze::Verdict;
-use issr_trace::{CriticalPath, Json};
+use issr_trace::CriticalPath;
 
 /// The critical path of a single-CC run: blame walk from the hart at
 /// end of ROI, one level of descent into the busiest lane.
@@ -46,24 +45,6 @@ pub fn system_critical_path(summary: &SystemSummary) -> CriticalPath {
     best
 }
 
-/// The `critical_path` envelope section: the path's own fields plus the
-/// roofline cross-check. `verdict_bound` restates the envelope's
-/// roofline classification, `suggested_bound` is what the blame walk
-/// alone would conclude, and `agrees` is their comparison — a cheap
-/// tripwire for either model drifting.
-#[must_use]
-pub fn critical_path_section(path: &CriticalPath, verdict: &Verdict) -> Json {
-    let mut fields = match path.to_json() {
-        Json::Obj(fields) => fields,
-        other => return other,
-    };
-    let suggested = path.suggested_bound();
-    fields.push(("suggested_bound".to_owned(), Json::from(suggested.label())));
-    fields.push(("verdict_bound".to_owned(), Json::from(verdict.bound.label())));
-    fields.push(("agrees".to_owned(), Json::from(suggested == verdict.bound)));
-    Json::Obj(fields)
-}
-
 /// The human one-liner printed next to the verdict line: dominant edge,
 /// its savings bound, and the partition it came from.
 #[must_use]
@@ -91,9 +72,10 @@ mod tests {
     use issr_kernels::cluster_csrmv::run_cluster_csrmv;
     use issr_kernels::variant::Variant;
     use issr_sparse::gen;
+    use issr_trace::Json;
 
     /// A real cluster run yields an exactly partitioned path whose JSON
-    /// section carries the cross-check keys.
+    /// section carries the partition.
     #[test]
     fn cluster_critical_path_partitions_exactly() {
         let mut rng = gen::rng(0x000F_1701);
@@ -103,12 +85,8 @@ mod tests {
         let path = cluster_critical_path(&run.summary);
         assert!(path.length > 0);
         assert_eq!(path.compute + path.blocked(), path.length, "exact partition");
-        let verdict = crate::verdict::cluster_verdict(&run.summary);
-        let section = critical_path_section(&path, &verdict);
+        let section = path.to_json();
         assert_eq!(section.get("length").and_then(Json::as_int), Some(path.length as i64));
-        assert!(section.get("suggested_bound").and_then(Json::as_str).is_some());
-        assert!(section.get("verdict_bound").and_then(Json::as_str).is_some());
-        assert!(section.get("agrees").is_some());
         let edges = section.get("edges").expect("edges object");
         let Json::Obj(pairs) = edges else { panic!("edges must be an object") };
         let sum: i64 = pairs.iter().filter_map(|(_, v)| v.as_int()).sum();

@@ -992,7 +992,7 @@ pub fn system_csrmv_attribution(
     trace_cap: usize,
 ) -> SystemAttributionReport {
     use issr_system::system::SystemParams;
-    let mut rec = issr_trace::TraceRecorder::new(trace_cap);
+    let mut rec = issr_trace::Recorder::new(issr_trace::Keep::Head, trace_cap);
     let run = run_system_csrmv_traced(
         Variant::Issr,
         m,

@@ -14,7 +14,14 @@
 //!   to exactly one outgoing edge, so per-unit edge sums equal the
 //!   breakdowns' blocked counts, and the critical path partitions
 //!   exactly within the ROI.
+//! * **Trace truth** — the Perfetto trace agrees with the attribution
+//!   tables: its spans are disjoint and inside the run, each DMA track's
+//!   cause durations equal the DMA table, and its `"active"` spans are
+//!   exactly the busy intervals of the old busy/idle rule.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use issr_cluster::cluster::ClusterRecorder;
 use issr_kernels::cluster_csrmv::ClusterCsrmvPlan;
 use issr_kernels::spgemm::run_spgemm;
 use issr_kernels::spmspv::run_spmspv;
@@ -25,7 +32,9 @@ use issr_snitch::cc::{run_until_quiescent, Machine};
 use issr_sparse::gen;
 use issr_system::system::{System, SystemParams};
 use issr_trace::waitgraph::UnitClass;
-use issr_trace::{is_blocked, CycleBreakdown, StatMerge, TraceRecorder, WaitGraph};
+use issr_trace::{
+    is_blocked, CycleBreakdown, Json, Keep, Recorder, StallCause, StatMerge, WaitGraph,
+};
 use proptest::prelude::*;
 
 /// The blocked cycles of one breakdown (everything that is not Active,
@@ -50,6 +59,78 @@ fn assert_cc_sums(attr: &CcAttribution, roi: u64, what: &str) {
     }
     assert_eq!(attr.joiner.total(), roi, "{what}: joiner table vs ROI cycles");
     assert_eq!(attr.spacc.total(), roi, "{what}: spacc table vs ROI cycles");
+}
+
+/// A span interval on one track: `(pid, track name, start, end)`.
+type Interval = (u64, String, u64, u64);
+
+/// The old busy/idle trace rule, kept here as the reference: a unit is
+/// busy while its latched cause is `Active`, and each busy run is one
+/// interval.
+#[derive(Default)]
+struct BusyIntervals {
+    open: BTreeMap<(u64, String), u64>,
+    closed: BTreeSet<Interval>,
+}
+
+impl BusyIntervals {
+    fn sample(&mut self, pid: u64, name: String, now: u64, cause: StallCause) {
+        let busy = cause == StallCause::Active;
+        match (self.open.get(&(pid, name.clone())), busy) {
+            (None, true) => drop(self.open.insert((pid, name), now)),
+            (Some(&start), false) => {
+                self.open.remove(&(pid, name.clone()));
+                self.closed.insert((pid, name, start, now));
+            }
+            _ => {}
+        }
+    }
+
+    fn observe(&mut self, s: &System) {
+        let now = s.now() - 1;
+        for (pid, c) in (0u64..).zip(&s.clusters) {
+            for (i, cc) in c.workers.iter().enumerate() {
+                let causes = cc.last_causes();
+                self.sample(pid, format!("hart {i}"), now, causes.hart);
+                for (l, &cause) in causes.streamer.lanes.iter().enumerate() {
+                    self.sample(pid, format!("hart {i} ft{l}"), now, cause);
+                }
+            }
+            self.sample(pid, "dmcc".into(), now, c.dmcc.last_causes().hart);
+            self.sample(pid, "dma".into(), now, c.dma.last_cause());
+        }
+    }
+
+    fn finish(mut self, end: u64) -> BTreeSet<Interval> {
+        for ((pid, name), start) in std::mem::take(&mut self.open) {
+            self.closed.insert((pid, name, start, end));
+        }
+        self.closed
+    }
+}
+
+/// Every span of a Chrome trace as `(cause, interval)`, in export order.
+fn trace_spans(doc: &Json) -> Vec<(String, Interval)> {
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    let int = |e: &Json, k: &str| e.get(k).and_then(Json::as_int).expect("integer field") as u64;
+    let mut names = BTreeMap::new();
+    let mut spans = Vec::new();
+    for e in events {
+        let key = (int(e, "pid"), e.get("tid").and_then(Json::as_int).unwrap_or(0) as u64);
+        match e.get("ph").and_then(Json::as_str) {
+            Some("M") => {
+                let name = e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str);
+                names.insert(key, name.expect("thread name").to_owned());
+            }
+            Some("X") => {
+                let cause = e.get("name").and_then(Json::as_str).expect("span name").to_owned();
+                let (ts, dur) = (int(e, "ts"), int(e, "dur"));
+                spans.push((cause, (key.0, names[&key].clone(), ts, ts + dur)));
+            }
+            _ => {}
+        }
+    }
+    spans
 }
 
 proptest! {
@@ -185,7 +266,7 @@ proptest! {
         let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
         let plain =
             run_system_csrmv(Variant::Issr, &m, &x, params.n_clusters).expect("plain run");
-        let mut rec = TraceRecorder::new(4_096);
+        let mut rec = Recorder::new(Keep::Head, 4_096);
         let traced =
             run_system_csrmv_traced(Variant::Issr, &m, &x, params, &mut rec).expect("traced run");
         let trace = rec.to_chrome_json();
@@ -227,7 +308,7 @@ proptest! {
         plan.marshal_into(bare.main.array_mut(), &m, &x);
         bare.set_work_queue(plan.queue_addr());
         run_until_quiescent(&mut bare, 10_000_000, |_| {}).expect("bare run");
-        let mut rec = TraceRecorder::new(4_096);
+        let mut rec = Recorder::new(Keep::Head, 4_096);
         let recorded =
             run_system_csrmv_traced(Variant::Issr, &m, &x, params, &mut rec).expect("observed run");
         prop_assert_eq!(bare.now(), recorded.summary.cycles, "cycles must match");
@@ -240,5 +321,59 @@ proptest! {
             derived.merge_from(&c.attr.wait_graph());
         }
         prop_assert!(derived.total() > 0, "a contended system run must block somewhere");
+    }
+
+    /// The Perfetto trace and the attribution tables tell the same story
+    /// (recorded with a cap nothing reaches).
+    #[test]
+    fn trace_agrees_with_attribution(
+        nrows in 32usize..96,
+        ncols in 32usize..96,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = gen::rng(seed);
+        let nnz = (nrows * 4).min(nrows * ncols);
+        let m = gen::csr_uniform::<u16>(&mut rng, nrows, ncols, nnz);
+        let x = gen::dense_vector(&mut rng, ncols);
+        let params = SystemParams { n_clusters: 2, ..SystemParams::default() };
+        let plan = ClusterCsrmvPlan::new(&m, params.cluster.n_workers as u32);
+        let mut system = System::new(build_system_csrmv::<u16>(Variant::Issr, &plan), params);
+        plan.marshal_into(system.main.array_mut(), &m, &x);
+        system.set_work_queue(plan.queue_addr());
+        let mut trace = ClusterRecorder::new(&system.clusters, Recorder::new(Keep::Head, 1 << 20));
+        let mut busy = BusyIntervals::default();
+        let summary = system
+            .run_with(10_000_000, |s| {
+                trace.sample(&s.clusters);
+                busy.observe(s);
+            })
+            .expect("traced run");
+        let mut rec = trace.into_recorder();
+        rec.finish(summary.cycles);
+        prop_assert_eq!(rec.dropped(), 0, "the cap must hold the whole run");
+        let spans = trace_spans(&rec.to_chrome_json());
+        // Per track: disjoint, sorted and inside [0, cycles].
+        let mut last_end: BTreeMap<(u64, String), u64> = BTreeMap::new();
+        for (cause, (pid, name, start, end)) in &spans {
+            prop_assert!(start < end && *end <= summary.cycles, "{} {}: {} span [{}, {})", pid, name, cause, start, end);
+            let prev = last_end.insert((*pid, name.clone()), *end).unwrap_or(0);
+            prop_assert!(prev <= *start, "{} {}: span at {} overlaps one ending {}", pid, name, start, prev);
+        }
+        // Each DMA track's time per cause is that cluster's DMA table.
+        for (pid, c) in (0u64..).zip(&summary.clusters) {
+            let mut traced: BTreeMap<String, u64> = BTreeMap::new();
+            for (cause, (_, _, start, end)) in spans.iter().filter(|(_, t)| t.0 == pid && t.1 == "dma") {
+                *traced.entry(cause.clone()).or_default() += end - start;
+            }
+            let table: BTreeMap<String, u64> = c.attr.dma.iter()
+                .filter(|&(cause, n)| cause != StallCause::Idle && n > 0)
+                .map(|(cause, n)| (cause.label().to_owned(), n))
+                .collect();
+            prop_assert_eq!(traced, table, "cluster {} DMA spans vs attribution", pid);
+        }
+        // The "active" spans are the busy intervals.
+        let active: BTreeSet<Interval> =
+            spans.into_iter().filter(|(cause, _)| cause == "active").map(|(_, t)| t).collect();
+        prop_assert_eq!(active, busy.finish(summary.cycles));
     }
 }

@@ -16,8 +16,8 @@ use issr_snitch::metrics::Metrics;
 use issr_snitch::params::CcParams;
 use issr_trace::waitgraph::UnitClass;
 use issr_trace::{
-    host, BlackBox, CounterId, CriticalPath, CycleBreakdown, PostMortem, StallCause, StatMerge,
-    TraceRecorder, TrackId, UnitId, WaitGraph,
+    host, CriticalPath, CycleBreakdown, Keep, PostMortem, Recorder, StallCause, StatMerge,
+    WaitGraph,
 };
 
 /// Cluster configuration.
@@ -196,50 +196,114 @@ pub struct TickActivity {
     pub workers_in_roi: bool,
 }
 
-/// The post-mortem flight recorder as a run observer: one bounded ring
-/// of recent per-unit state transitions (workers, DMCC and DMA engine of
-/// every observed cluster), sampled after each tick from the
-/// classifications the tick latched. It reads the clusters only through
-/// shared references, so recording cannot change timing.
-/// [`Cluster::run`] and the system harness run with one.
+/// Transitions the flight recorder keeps: a generous final window at a
+/// few bytes per slot.
+pub const FLIGHT_CAP: usize = 4096;
+
+/// The run observer that records clusters' units into one [`Recorder`],
+/// sampling after each tick the classifications the tick latched. It
+/// reads the clusters only through shared references, so recording
+/// cannot change timing. Each cluster's tracks live under its index as
+/// the process id: `"hart 3"`, `"hart 3 ft1"`, `"dmcc"`, `"dma"`.
+///
+/// What it records follows the recorder's [`Keep`] policy:
+///
+/// * [`Keep::Tail`] is the post-mortem flight recorder
+///   ([`ClusterRecorder::flight`]) that [`Cluster::run`] and the system
+///   harness always run with. It records each hart (workers, then the
+///   DMCC) and the DMA engine, nothing more, so it stays cheap.
+/// * [`Keep::Head`] is a Perfetto trace of a whole run. It adds every
+///   worker's stream lanes, each lane's data-FIFO occupancy and the DMA
+///   engine's outstanding words as counters, and an instant at each
+///   hart's trap.
 #[derive(Clone, Debug)]
-pub struct FlightRecorder {
-    bb: BlackBox,
-    /// Per cluster: hart units (workers, then the DMCC) and the DMA unit.
-    units: Vec<(Vec<UnitId>, UnitId)>,
+pub struct ClusterRecorder {
+    rec: Recorder,
+    /// Per hart of every observed cluster (workers, then the DMCC):
+    /// whether its trap instant is marked.
+    trap_marked: Vec<bool>,
 }
 
-impl FlightRecorder {
-    /// A default-capacity recorder over `clusters`; units are named by
-    /// cluster index (`"c0 hart 3"`).
+/// One sampled value of a cluster unit.
+enum Probe {
+    /// A unit's stall cause (a span track).
+    Cause(StallCause),
+    /// A counter's value.
+    Count(u64),
+}
+
+impl ClusterRecorder {
+    /// Registers `clusters`' units in `rec`.
     #[must_use]
-    pub fn new(clusters: &[Cluster]) -> Self {
-        let mut bb = BlackBox::default();
-        let units = clusters
-            .iter()
-            .map(|c| {
-                let harts = (0..=c.workers.len()).map(|i| bb.add_unit(c.unit_name(i))).collect();
-                (harts, bb.add_unit(format!("c{} dma", c.index)))
-            })
-            .collect();
-        Self { bb, units }
+    pub fn new(clusters: &[Cluster], mut rec: Recorder) -> Self {
+        let full = rec.keep() == Keep::Head;
+        let mut n_harts = 0;
+        for c in clusters {
+            let pid = c.index as u32;
+            c.visit_units(full, |name, probe| match probe {
+                Probe::Cause(_) => {
+                    rec.add_track(pid, name());
+                }
+                Probe::Count(_) => {
+                    rec.add_counter(pid, name());
+                }
+            });
+            n_harts += c.workers.len() + 1;
+        }
+        Self { rec, trap_marked: vec![false; n_harts] }
     }
 
-    /// Records the cycle that just ran on every cluster.
+    /// The post-mortem flight recorder over `clusters`: the last
+    /// [`FLIGHT_CAP`] transitions of every hart and DMA engine.
+    #[must_use]
+    pub fn flight(clusters: &[Cluster]) -> Self {
+        Self::new(clusters, Recorder::new(Keep::Tail, FLIGHT_CAP))
+    }
+
+    /// Records the cycle that just ran on every cluster. A saturated
+    /// head trace keeps nothing more, so it skips the walk.
     pub fn sample(&mut self, clusters: &[Cluster]) {
-        for (c, (harts, dma)) in clusters.iter().zip(&self.units) {
+        if self.rec.saturated() {
+            return;
+        }
+        let full = self.rec.keep() == Keep::Head;
+        let (mut track, mut counter, mut hart) = (0, 0, 0);
+        for c in clusters {
             let now = c.now - 1;
-            for (cc, &unit) in c.workers.iter().chain(std::iter::once(&c.dmcc)).zip(harts) {
-                self.bb.sample(unit, now, cc.last_causes().hart);
+            let rec = &mut self.rec;
+            c.visit_units(full, |_, probe| match probe {
+                Probe::Cause(cause) => {
+                    rec.sample(track, now, cause);
+                    track += 1;
+                }
+                Probe::Count(value) => {
+                    rec.sample_counter(counter, now, value);
+                    counter += 1;
+                }
+            });
+            if full {
+                // Each hart's trap is marked once, at its first sighting.
+                for (i, cc) in c.workers.iter().chain(std::iter::once(&c.dmcc)).enumerate() {
+                    if let (false, Some(trap)) = (self.trap_marked[hart + i], cc.core.trap()) {
+                        rec.mark(c.index as u32, format!("trap hart {i}: {trap}"), now);
+                        self.trap_marked[hart + i] = true;
+                    }
+                }
             }
-            self.bb.sample(*dma, now, c.dma.last_cause());
+            hart += c.workers.len() + 1;
         }
     }
 
-    /// The ring, for [`PostMortem::attach`].
+    /// The recording so far.
     #[must_use]
-    pub fn black_box(&self) -> &BlackBox {
-        &self.bb
+    pub fn recorder(&self) -> &Recorder {
+        &self.rec
+    }
+
+    /// The recording, for export.
+    #[must_use]
+    pub fn into_recorder(self) -> Recorder {
+        self.rec
     }
 }
 
@@ -279,33 +343,14 @@ pub struct Cluster {
     workers_in_roi: bool,
     idle_mem: bool,
     /// Cluster index within the system (0 standalone): names units in
-    /// post-mortems and flight recordings (`"c0 hart 3"`).
+    /// post-mortems (`"c0 hart 3"`) and is the process id of the
+    /// cluster's recorded tracks.
     index: usize,
     /// Declared synchronization words `(addr, owner_hart)` — e.g. flag
     /// words one hart writes and others spin on. Post-mortem deadlock
     /// classification builds its blame edges from these.
     sync_words: Vec<(u32, u32)>,
     now: u64,
-}
-
-/// Track handles for one cluster's units in a [`TraceRecorder`]: one
-/// per hart (workers then DMCC), one per worker lane, one for the DMA
-/// engine.
-#[derive(Clone, Debug)]
-pub struct ClusterTracks {
-    /// The Chrome-trace process these tracks live under — kept so
-    /// sampling can drop instant markers (traps) on the right process.
-    pub pid: u32,
-    /// Hart tracks: workers `0..n_workers`, then the DMCC.
-    pub harts: Vec<TrackId>,
-    /// Per-worker lane tracks.
-    pub lanes: Vec<Vec<TrackId>>,
-    /// The DMA engine's track.
-    pub dma: TrackId,
-    /// Per-worker, per-lane data-FIFO occupancy counters.
-    pub lane_fifo: Vec<Vec<CounterId>>,
-    /// Outstanding-words counter for the DMA engine.
-    pub dma_words: CounterId,
 }
 
 impl Cluster {
@@ -407,7 +452,7 @@ impl Cluster {
     /// share it — their tick order is the bandwidth grant order.
     ///
     /// The tick is three phases: compute, interconnect and memory.
-    /// Only [`Cluster::tick_interconnect`] touches the main memory; the
+    /// Only the interconnect phase touches the main memory; the
     /// split also gives the host profiler its per-phase wall-clock
     /// classes (`workers`, `dmcc`, `dma`, `mem`).
     pub fn tick_shared(&mut self, main: &mut MainMemory) -> TickActivity {
@@ -555,74 +600,46 @@ impl Cluster {
     /// Returns [`SimTimeout`] if the cluster does not finish in
     /// `max_cycles` (deadlock or bug).
     pub fn run(&mut self, max_cycles: u64) -> Result<ClusterSummary, SimTimeout> {
-        let mut flight = FlightRecorder::new(std::slice::from_ref(self));
+        let mut flight = ClusterRecorder::flight(std::slice::from_ref(self));
         run_until_quiescent(self, max_cycles, |c| flight.sample(std::slice::from_ref(c))).map_err(
             |mut t| {
-                t.post_mortem.attach(flight.black_box());
+                t.post_mortem.attach(flight.recorder());
                 t
             },
         )?;
         let mut summary = self.summary();
         if let Some(pm) = &mut summary.post_mortem {
-            pm.attach(flight.black_box());
+            pm.attach(flight.recorder());
         }
         Ok(summary)
     }
 
-    /// Registers one track per hart (workers then DMCC), per worker
-    /// lane and for the DMA engine under process `pid`, plus counter
-    /// tracks for each lane's data-FIFO occupancy and the DMA engine's
-    /// outstanding words — the system harness calls this once per
-    /// cluster before tracing starts.
-    #[must_use]
-    pub fn register_tracks(&self, rec: &mut TraceRecorder, pid: u32) -> ClusterTracks {
-        let mut harts = Vec::with_capacity(self.workers.len() + 1);
-        let mut lanes = Vec::with_capacity(self.workers.len());
-        let mut lane_fifo = Vec::with_capacity(self.workers.len());
-        for (i, cc) in self.workers.iter().enumerate() {
-            harts.push(rec.add_track(pid, format!("hart {i}")));
-            lanes.push(
-                (0..cc.streamer.n_lanes())
-                    .map(|l| rec.add_track(pid, format!("hart {i} ft{l}")))
-                    .collect(),
-            );
-            lane_fifo.push(
-                (0..cc.streamer.n_lanes())
-                    .map(|l| rec.add_counter(pid, format!("hart {i} ft{l} fifo")))
-                    .collect(),
-            );
-        }
-        harts.push(rec.add_track(pid, "dmcc"));
-        let dma = rec.add_track(pid, "dma");
-        let dma_words = rec.add_counter(pid, "dma outstanding words");
-        ClusterTracks { pid, harts, lanes, dma, lane_fifo, dma_words }
-    }
-
-    /// Feeds one cycle's occupancy of every unit into the recorder.
-    /// Reads only the classification latched by the tick that just ran,
-    /// so sampling (or not sampling) cannot change simulated behavior.
-    pub fn trace_sample(&self, rec: &mut TraceRecorder, tracks: &ClusterTracks, now: u64) {
+    /// Walks the units a [`ClusterRecorder`] records, in its one track
+    /// order: per worker its hart and (when `full`) its lanes and their
+    /// FIFO counters, then the DMCC, the DMA engine and (when `full`)
+    /// its outstanding-words counter. `f` gets each unit's name, built
+    /// only when called, and its latched value.
+    #[inline]
+    fn visit_units(&self, full: bool, mut f: impl FnMut(&dyn Fn() -> String, Probe)) {
         for (i, cc) in self.workers.iter().enumerate() {
             let causes = cc.last_causes();
-            rec.sample(tracks.harts[i], now, causes.hart == StallCause::Active);
-            for (l, &track) in tracks.lanes[i].iter().enumerate() {
-                let busy = causes.streamer.lanes.get(l) == Some(&StallCause::Active);
-                rec.sample(track, now, busy);
-            }
-            for (l, &ctr) in tracks.lane_fifo[i].iter().enumerate() {
-                rec.sample_counter(ctr, now, cc.streamer.lane(l).fifo_len() as u64);
+            f(&|| format!("hart {i}"), Probe::Cause(causes.hart));
+            if full {
+                let n_lanes = cc.streamer.n_lanes();
+                for l in 0..n_lanes {
+                    let cause = causes.streamer.lanes.get(l).copied().unwrap_or(StallCause::Idle);
+                    f(&|| format!("hart {i} ft{l}"), Probe::Cause(cause));
+                }
+                for l in 0..n_lanes {
+                    let fifo = cc.streamer.lane(l).fifo_len() as u64;
+                    f(&|| format!("hart {i} ft{l} fifo"), Probe::Count(fifo));
+                }
             }
         }
-        let dmcc_busy = self.dmcc.last_causes().hart == StallCause::Active;
-        rec.sample(tracks.harts[self.workers.len()], now, dmcc_busy);
-        rec.sample(tracks.dma, now, self.dma.last_cause() == StallCause::Active);
-        rec.sample_counter(tracks.dma_words, now, self.dma.outstanding_words());
-        // Instant markers for latched traps: `mark` dedups on
-        // `(pid, name)`, so each trap lands once at its first sighting.
-        for (i, cc) in self.workers.iter().chain(std::iter::once(&self.dmcc)).enumerate() {
-            if let Some(trap) = cc.core.trap() {
-                rec.mark(tracks.pid, format!("trap hart {i}: {trap}"), now);
-            }
+        f(&|| "dmcc".to_owned(), Probe::Cause(self.dmcc.last_causes().hart));
+        f(&|| "dma".to_owned(), Probe::Cause(self.dma.last_cause()));
+        if full {
+            f(&|| "dma outstanding words".to_owned(), Probe::Count(self.dma.outstanding_words()));
         }
     }
 

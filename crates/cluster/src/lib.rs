@@ -17,6 +17,6 @@ pub mod cluster;
 pub mod scan;
 
 pub use cluster::{
-    Cluster, ClusterAttribution, ClusterParams, ClusterSummary, ClusterTracks, FlightRecorder,
+    Cluster, ClusterAttribution, ClusterParams, ClusterRecorder, ClusterSummary, FLIGHT_CAP,
 };
 pub use scan::{emit_exclusive_prefix, scan_array_bytes};

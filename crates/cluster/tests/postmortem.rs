@@ -8,7 +8,7 @@ use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
 use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::run_until_quiescent;
-use issr_trace::Classification;
+use issr_trace::{Classification, Json};
 
 /// Flag word hart 0 owns (would write; never does in the deadlock).
 const FLAG_A: u32 = TCDM_BASE + 0x20;
@@ -71,15 +71,32 @@ fn crossed_spins_classify_as_deadlock_with_blame_cycle() {
     // carries no edges here — the deadlock shows up in the poll edges
     // above — and the recorder ring carries the Active/Idle heartbeat.
     assert_eq!(pm.wait_graph.total(), 0, "spin loops are not hardware-blocked");
-    assert!(!pm.transitions.is_empty(), "the flight recorder saw transitions");
-    // The human rendering carries the verdict, and the Perfetto sidecar
-    // is a well-formed trace document.
+    assert!(!pm.window.transitions().is_empty(), "the flight recorder saw transitions");
+    // The human rendering carries the verdict, and the window exports
+    // through the one Chrome writer: the spinners' cause spans and the
+    // moment of death.
     let text = format!("{timeout}");
     assert!(text.contains("deadlock"), "timeout display must carry the verdict:\n{text}");
     assert!(text.contains("c0 hart 0"), "display names the blamed units:\n{text}");
     assert_eq!(text.matches("stuck: ").count(), 2, "each stuck hart is listed once:\n{text}");
-    let sidecar = pm.sidecar_json();
-    assert!(sidecar.get("traceEvents").is_some());
+    let doc = pm.window.to_chrome_json();
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    let of = |ph: &'static str| {
+        events.iter().filter(move |e| e.get("ph").and_then(Json::as_str) == Some(ph))
+    };
+    assert!(of("X").any(|e| e.get("name").and_then(Json::as_str) == Some("active")));
+    assert!(
+        of("X").all(|e| {
+            let end = e.get("ts").and_then(Json::as_int).unwrap()
+                + e.get("dur").and_then(Json::as_int).unwrap();
+            end <= pm.at as i64
+        }),
+        "no span outlives the moment of death"
+    );
+    let death: Vec<_> = of("i").collect();
+    assert_eq!(death.len(), 1);
+    assert_eq!(death[0].get("name").and_then(Json::as_str), Some("post-mortem (deadlock)"));
+    assert_eq!(death[0].get("ts").and_then(Json::as_int), Some(pm.at as i64));
 }
 
 #[test]
@@ -108,8 +125,8 @@ fn post_mortem_is_timing_neutral() {
     };
     let plain = run_until_quiescent(&mut cluster(), 1_500, |_| {}).expect_err("deadlock");
     let recorded = cluster().run(1_500).expect_err("deadlock");
-    assert!(plain.post_mortem.transitions.is_empty(), "no observer, no window");
-    assert!(!recorded.post_mortem.transitions.is_empty());
+    assert!(plain.post_mortem.window.transitions().is_empty(), "no observer, no window");
+    assert!(!recorded.post_mortem.window.transitions().is_empty());
     assert_eq!(plain.post_mortem.at, recorded.post_mortem.at);
     assert_eq!(plain.post_mortem.stuck, recorded.post_mortem.stuck);
     assert_eq!(plain.post_mortem.classification, recorded.post_mortem.classification);

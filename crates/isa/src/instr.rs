@@ -10,7 +10,7 @@
 //! * **Xdma** — the cluster DMA front end (`dmsrc`, `dmdst`, `dmstr`,
 //!   `dmrep`, `dmcpyi`, `dmstati`).
 //!
-//! Every instruction has a 32-bit binary encoding (see [`crate::encode`])
+//! Every instruction has a 32-bit binary encoding (see [`crate::encode`](mod@crate::encode))
 //! so that programs round-trip through machine code; the simulator executes
 //! the typed form directly for speed.
 

@@ -32,6 +32,7 @@ use crate::cluster_csrmv::{
 };
 use crate::common::{emit_parity_slot, emit_wait_all_done};
 use crate::variant::{KernelIndex, Variant};
+use issr_cluster::cluster::ClusterRecorder;
 use issr_isa::asm::{Assembler, Program};
 use issr_isa::reg::IntReg as R;
 use issr_isa::Csr;
@@ -39,7 +40,7 @@ use issr_mem::map::TCDM_BASE;
 use issr_snitch::cc::{Machine, SimTimeout};
 use issr_sparse::csr::CsrMatrix;
 use issr_system::system::{System, SystemParams, SystemSummary};
-use issr_trace::TraceRecorder;
+use issr_trace::{Keep, Recorder};
 
 /// Claimed-block-id slots of the ready handshake (one per buffer), in
 /// the flag area below the data region. A negative id terminates the
@@ -274,13 +275,15 @@ pub fn run_system_csrmv_with<I: KernelIndex>(
     run_system_csrmv_observed(variant, m, x, params, None)
 }
 
-/// [`run_system_csrmv_with`] with `rec` observing every cycle: one
-/// Perfetto track per hart, stream lane and DMA engine of every cluster.
-/// The recorder is closed at the run's last cycle (export it with
-/// [`TraceRecorder::to_chrome_json`]); a timeout leaves an instant
-/// marker at the moment of death. Tracing only reads state the
-/// simulation latches anyway, so the run is cycle-identical to the
-/// untraced one.
+/// [`run_system_csrmv_with`] recording every cycle into `rec` through a
+/// [`ClusterRecorder`]. A [`Keep::Head`] recorder gets the Perfetto
+/// trace: one track per hart, stream lane and DMA engine of every
+/// cluster, with a span per run of one stall cause, FIFO and DMA
+/// counters, and trap instants. The recorder is closed at the run's
+/// last cycle (export it with [`Recorder::to_chrome_json`]); a timeout
+/// leaves an instant marker at the moment of death. Recording only
+/// reads state the simulation latches anyway, so the run is
+/// cycle-identical to the unrecorded one.
 ///
 /// # Errors
 /// As [`run_system_csrmv_with`].
@@ -292,7 +295,7 @@ pub fn run_system_csrmv_traced<I: KernelIndex>(
     m: &CsrMatrix<I>,
     x: &[f64],
     params: SystemParams,
-    rec: &mut TraceRecorder,
+    rec: &mut Recorder,
 ) -> Result<SystemCsrmvRun, SimTimeout> {
     run_system_csrmv_observed(variant, m, x, params, Some(rec))
 }
@@ -302,7 +305,7 @@ fn run_system_csrmv_observed<I: KernelIndex>(
     m: &CsrMatrix<I>,
     x: &[f64],
     params: SystemParams,
-    rec: Option<&mut TraceRecorder>,
+    rec: Option<&mut Recorder>,
 ) -> Result<SystemCsrmvRun, SimTimeout> {
     let plan = ClusterCsrmvPlan::new(m, params.cluster.n_workers as u32);
     let program = build_system_csrmv::<I>(variant, &plan);
@@ -313,8 +316,10 @@ fn run_system_csrmv_observed<I: KernelIndex>(
     let summary = match rec {
         None => system.run(budget)?,
         Some(rec) => {
-            let tracks = system.register_tracks(rec);
-            let run = system.run_with(budget, |s| s.trace_sample(rec, &tracks));
+            let taken = std::mem::replace(rec, Recorder::new(Keep::Head, 0));
+            let mut trace = ClusterRecorder::new(&system.clusters, taken);
+            let run = system.run_with(budget, |s| trace.sample(&s.clusters));
+            *rec = trace.into_recorder();
             if let Err(t) = &run {
                 rec.mark(0, format!("sim timeout after {} cycles", t.max_cycles), system.now());
             }

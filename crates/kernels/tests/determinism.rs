@@ -1,4 +1,5 @@
-//! Run-to-run determinism of the system and cluster harnesses.
+//! Run-to-run determinism of the system and cluster harnesses, and
+//! their equivalence on one cluster.
 //!
 //! The system tick is serial: clusters tick whole in a rotated grant
 //! order that depends only on the cycle number, and idle units are
@@ -8,14 +9,16 @@
 //! export. These tests pin that guarantee on randomized CsrMV / SpGEMM /
 //! SpMSpV workloads.
 
+use issr_cluster::cluster::Cluster;
+use issr_kernels::cluster_csrmv::{build_cluster_csrmv, ClusterCsrmvPlan};
 use issr_kernels::cluster_spmspv::run_cluster_spmspv;
 use issr_kernels::system_csrmv::run_system_csrmv_traced;
 use issr_kernels::system_spgemm::{run_system_spgemm_planned, SystemSpgemmPlan};
 use issr_kernels::variant::Variant;
 use issr_sparse::gen;
 use issr_sparse::CsrMatrix;
-use issr_system::system::SystemParams;
-use issr_trace::TraceRecorder;
+use issr_system::system::{System, SystemParams};
+use issr_trace::{Keep, Recorder};
 
 fn params(n_clusters: usize) -> SystemParams {
     SystemParams { n_clusters, ..SystemParams::default() }
@@ -31,7 +34,7 @@ struct Fingerprint {
 }
 
 fn system_csrmv_fingerprint(m: &CsrMatrix<u32>, x: &[f64]) -> Fingerprint {
-    let mut rec = TraceRecorder::new(4096);
+    let mut rec = Recorder::new(Keep::Head, 4096);
     let run = run_system_csrmv_traced::<u32>(Variant::Issr, m, x, params(4), &mut rec)
         .expect("system CsrMV completes");
     Fingerprint {
@@ -84,4 +87,43 @@ fn cluster_spmspv_is_run_to_run_deterministic() {
     assert_eq!(bits(&one.y), bits(&two.y));
     assert_eq!(one.summary.cycles, two.summary.cycles);
     assert_eq!(format!("{:?}", one.summary.attr), format!("{:?}", two.summary.attr));
+}
+
+/// Cross-harness equivalence: a 1-cluster `System` whose shared memory
+/// matches a standalone cluster's private one (no access latency, 8
+/// words per cycle) runs the cluster CsrMV program exactly like a bare
+/// `Cluster` — the same cycles, output bits and attribution tables.
+#[test]
+fn one_cluster_system_matches_bare_cluster() {
+    let params = SystemParams {
+        n_clusters: 1,
+        dma_latency: 0,
+        dma_words_per_cycle: 8,
+        ..SystemParams::default()
+    };
+    let bits = |y: Vec<f64>| y.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    for seed in 0..5u64 {
+        let mut rng = gen::rng(seed);
+        let m = gen::csr_uniform::<u32>(&mut rng, 64, 96, 900);
+        let x = gen::dense_vector(&mut rng, 96);
+        let plan = ClusterCsrmvPlan::new(&m, params.cluster.n_workers as u32);
+        let program = build_cluster_csrmv::<u32>(Variant::Issr, &plan);
+        let mut cluster = Cluster::new(program.clone(), params.cluster);
+        plan.marshal(&mut cluster, &m, &x);
+        let bare = cluster.run(1_000_000).expect("cluster run completes");
+        let mut system = System::new(program, params);
+        plan.marshal_into(system.main.array_mut(), &m, &x);
+        let sys = system.run(1_000_000).expect("system run completes");
+        assert_eq!(sys.cycles, bare.cycles, "seed {seed}: cycles");
+        assert_eq!(
+            bits(plan.read_y_from(system.main.array())),
+            bits(plan.read_y(&cluster)),
+            "seed {seed}: output bits"
+        );
+        assert_eq!(
+            format!("{:?}", sys.clusters[0].attr),
+            format!("{:?}", bare.attr),
+            "seed {seed}: attribution"
+        );
+    }
 }

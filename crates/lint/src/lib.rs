@@ -278,7 +278,7 @@ pub fn assert_clean(program: &Program, target: &LintTarget, what: &str) {
 }
 
 /// Lints every program in the shipped-kernel catalog
-/// ([`issr_kernels::catalog`]) against the hardware configuration it
+/// ([`issr_kernels::catalog`](fn@issr_kernels::catalog)) against the hardware configuration it
 /// targets — the one-call load-time gate the bench binaries and
 /// examples run before handing anything to a simulator.
 ///

@@ -17,16 +17,14 @@
 //! ticket counter ([`System::set_work_queue`]) from which the clusters'
 //! DMCCs claim row-panel tiles of a shared work queue.
 
-use issr_cluster::cluster::{
-    Cluster, ClusterParams, ClusterSummary, ClusterTracks, FlightRecorder,
-};
+use issr_cluster::cluster::{Cluster, ClusterParams, ClusterRecorder, ClusterSummary};
 use issr_isa::asm::Program;
 use issr_mem::dma::DmaStats;
 use issr_mem::main_mem::{MainMemStats, MainMemory};
 use issr_mem::map::{MAIN_BASE, MAIN_SIZE};
 use issr_snitch::cc::{run_until_quiescent, Machine, SimTimeout};
 use issr_snitch::core::Trap;
-use issr_trace::{merge::merge_all, PostMortem, TraceRecorder};
+use issr_trace::{merge::merge_all, PostMortem};
 
 /// System configuration.
 #[derive(Clone, Copy, Debug)]
@@ -167,30 +165,6 @@ impl System {
         1
     }
 
-    /// Registers one track per hart, per worker lane and per DMA engine
-    /// of every cluster in `rec` (cluster index = Perfetto process id).
-    #[must_use]
-    pub fn register_tracks(&self, rec: &mut TraceRecorder) -> Vec<ClusterTracks> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .map(|(pid, c)| c.register_tracks(rec, pid as u32))
-            .collect()
-    }
-
-    /// Samples the cycle that just ran into `rec` — the Perfetto
-    /// observer for [`System::run_with`]. It only reads latched per-tick
-    /// state, so tracing cannot change timing.
-    pub fn trace_sample(&self, rec: &mut TraceRecorder, tracks: &[ClusterTracks]) {
-        // A saturated recorder accepts nothing: skip the walk over
-        // every track of every cluster (pure overhead then).
-        if !rec.saturated() {
-            for (cluster, tracks) in self.clusters.iter().zip(tracks) {
-                cluster.trace_sample(rec, tracks, self.now - 1);
-            }
-        }
-    }
-
     /// Designates `addr` (in main memory) as the hardware fetch-and-add
     /// ticket counter of the shared work queue and zeroes it.
     pub fn set_work_queue(&mut self, addr: u32) {
@@ -215,7 +189,9 @@ impl System {
     }
 
     /// [`System::run`] with `observe` called after every tick, beside
-    /// the default flight recorder (e.g. [`System::trace_sample`]).
+    /// the default flight recorder. For a Perfetto trace, observe with a
+    /// [`Keep::Head`](issr_trace::Keep::Head) [`ClusterRecorder`] over
+    /// [`System::clusters`]: `|s| trace.sample(&s.clusters)`.
     ///
     /// # Errors
     /// As [`System::run`].
@@ -224,18 +200,18 @@ impl System {
         max_cycles: u64,
         mut observe: impl FnMut(&Self),
     ) -> Result<SystemSummary, SimTimeout> {
-        let mut flight = FlightRecorder::new(&self.clusters);
+        let mut flight = ClusterRecorder::flight(&self.clusters);
         let observe = |s: &Self| {
             flight.sample(&s.clusters);
             observe(s);
         };
         run_until_quiescent(self, max_cycles, observe).map_err(|mut t| {
-            t.post_mortem.attach(flight.black_box());
+            t.post_mortem.attach(flight.recorder());
             t
         })?;
         let mut summary = self.summary();
         for pm in summary.clusters.iter_mut().filter_map(|c| c.post_mortem.as_mut()) {
-            pm.attach(flight.black_box());
+            pm.attach(flight.recorder());
         }
         Ok(summary)
     }
@@ -311,6 +287,7 @@ mod tests {
     use issr_isa::reg::IntReg as R;
     use issr_isa::Csr;
     use issr_mem::map::TCDM_BASE;
+    use issr_trace::{Keep, Recorder};
 
     fn params(n_clusters: usize) -> SystemParams {
         SystemParams { n_clusters, ..SystemParams::default() }
@@ -445,16 +422,16 @@ mod tests {
         let build = || dma_pull_program(128, n_workers as u32);
         let plain = System::new(build(), params(2)).run(100_000).unwrap();
         let mut sys = System::new(build(), params(2));
-        let mut rec = TraceRecorder::new(4096);
-        let tracks = sys.register_tracks(&mut rec);
-        let traced = sys.run_with(100_000, |s| s.trace_sample(&mut rec, &tracks)).unwrap();
+        let mut trace = ClusterRecorder::new(&sys.clusters, Recorder::new(Keep::Head, 4096));
+        let traced = sys.run_with(100_000, |s| trace.sample(&s.clusters)).unwrap();
         assert_eq!(traced.cycles, plain.cycles, "tracing must not alter timing");
         assert_eq!(traced.total_dma_words(), plain.total_dma_words());
         // Tracks: per cluster, one per worker hart + 2 lanes each,
         // the DMCC and the DMA engine.
         let per_cluster = n_workers + 2 * n_workers + 1 + 1;
-        assert_eq!(rec.n_tracks(), 2 * per_cluster);
-        assert!(rec.n_spans() > 0, "the DMA pull must produce busy spans");
+        let mut rec = trace.into_recorder();
+        assert_eq!(rec.tracks().count(), 2 * per_cluster);
+        assert!(!rec.transitions().is_empty(), "the DMA pull must produce spans");
         // Per-cluster DMA attribution covers every cluster cycle.
         for c in &traced.clusters {
             assert_eq!(c.attr.dma.total(), c.cycles);
@@ -481,8 +458,8 @@ mod tests {
         let n_harts = ClusterParams::default().n_workers + 1;
         assert_eq!(pm.stuck.len(), 2 * n_harts, "every hart of both clusters spins");
         assert!(pm.stuck.iter().any(|s| s.name == "c1 hart 0"));
-        assert!(pm.unit_names.contains(&"c1 dma".to_owned()));
-        assert!(!pm.transitions.is_empty());
+        assert!(pm.window.tracks().any(|unit| unit == (1, "dma")), "cluster 1's DMA is recorded");
+        assert!(!pm.window.transitions().is_empty());
         assert_eq!(err.to_string().matches("stuck: c1 dmcc").count(), 1);
     }
 

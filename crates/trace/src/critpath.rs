@@ -18,10 +18,9 @@
 //! exactly the path cycles the class is blamed for (other limiters may
 //! take over once it is gone — hence ≤, not =).
 
-use crate::analyze::Bound;
-use crate::attr::{CycleBreakdown, StallCause};
+use crate::attr::CycleBreakdown;
 use crate::json::{obj, Json};
-use crate::waitgraph::{edge_for, is_blocked, EdgeClass, UnitClass};
+use crate::waitgraph::{edge_for, EdgeClass, UnitClass};
 
 /// The critical path of one measured window, as an exact partition of
 /// its cycles into `compute` plus per-edge-class blame.
@@ -77,29 +76,6 @@ impl CriticalPath {
         }
     }
 
-    /// Human-readable what-if lines, one per non-zero edge class,
-    /// heaviest first.
-    #[must_use]
-    pub fn what_if_lines(&self) -> Vec<String> {
-        let mut nz: Vec<(EdgeClass, u64)> = self.iter().filter(|&(_, n)| n > 0).collect();
-        nz.sort_by(|a, b| b.1.cmp(&a.1).then((a.0 as usize).cmp(&(b.0 as usize))));
-        nz.iter().map(|(e, n)| format!("eliminating {} saves <= {} cycles", e.label(), n)).collect()
-    }
-
-    /// The roofline bound the dominant edge suggests, for cross-checking
-    /// against the PR 7 verdict: `None` when the path is pure compute
-    /// (suggesting `Bound::Compute`).
-    #[must_use]
-    pub fn suggested_bound(&self) -> Bound {
-        if self.compute >= self.blocked() {
-            return Bound::Compute;
-        }
-        match self.dominant() {
-            Some(e) => bound_hint(e),
-            None => Bound::Compute,
-        }
-    }
-
     /// The section as JSON: an exact partition (`"compute"` plus the
     /// full fixed-schema `"edges"` object sums to `"length"`), the
     /// dominant edge label (`"none"` for a pure-compute path), and its
@@ -119,16 +95,6 @@ impl CriticalPath {
             ("dominant_edge", Json::from(dom)),
             ("dominant_saves", Json::from(saves)),
         ])
-    }
-}
-
-/// The roofline bound a wait-edge class suggests when it dominates.
-#[must_use]
-pub fn bound_hint(edge: EdgeClass) -> Bound {
-    match edge {
-        EdgeClass::DmaMainMem => Bound::Bandwidth,
-        EdgeClass::HartBarrier => Bound::Sync,
-        _ => Bound::Latency,
     }
 }
 
@@ -206,16 +172,10 @@ fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
     shares
 }
 
-/// `true` when the cause contributes a wait edge for some unit — a
-/// convenience re-export for callers asserting path invariants.
-#[must_use]
-pub fn cause_is_blocked(cause: StallCause) -> bool {
-    is_blocked(cause)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::StallCause;
 
     fn bd(pairs: &[(StallCause, u64)]) -> CycleBreakdown {
         let mut b = CycleBreakdown::new();
@@ -279,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn dominant_and_what_if() {
+    fn dominant_is_the_heaviest_edge() {
         let b = bd(&[
             (StallCause::Active, 3),
             (StallCause::PortConflict, 9),
@@ -287,21 +247,10 @@ mod tests {
         ]);
         let p = extract(UnitClass::Hart, &b, None);
         assert_eq!(p.dominant(), Some(EdgeClass::HartTcdm));
-        let lines = p.what_if_lines();
-        assert_eq!(lines[0], "eliminating hart_tcdm saves <= 9 cycles");
-        assert_eq!(lines.len(), 2);
-    }
-
-    #[test]
-    fn suggested_bound_tracks_dominance() {
-        let compute = extract(UnitClass::Hart, &bd(&[(StallCause::Active, 9)]), None);
-        assert_eq!(compute.suggested_bound(), Bound::Compute);
-        let sync = extract(UnitClass::Hart, &bd(&[(StallCause::BarrierWait, 9)]), None);
-        assert_eq!(sync.suggested_bound(), Bound::Sync);
-        let bw = extract(UnitClass::Dma, &bd(&[(StallCause::BwDenied, 9)]), None);
-        assert_eq!(bw.suggested_bound(), Bound::Bandwidth);
-        let lat = extract(UnitClass::Hart, &bd(&[(StallCause::PortConflict, 9)]), None);
-        assert_eq!(lat.suggested_bound(), Bound::Latency);
+        assert_eq!(
+            extract(UnitClass::Hart, &bd(&[(StallCause::Active, 3)]), None).dominant(),
+            None
+        );
     }
 
     #[test]

@@ -24,19 +24,17 @@
 //!   bottleneck classifier turning counters into a bandwidth/compute/
 //!   latency/sync [`Verdict`], and a PC-region [`PhaseProfile`] for
 //!   per-phase stall breakdowns.
-//! * [`chrome`] — an opt-in, ring-buffered interval recorder
-//!   ([`TraceRecorder`]) exporting Chrome trace-event JSON (span and
-//!   counter tracks, plus instant markers at trap/timeout moments)
-//!   that loads directly in Perfetto (`ui.perfetto.dev`).
-//! * [`blackbox`] — the flight recorder: a bounded ring of *recent*
-//!   per-unit state transitions (the tail, where [`chrome`] keeps the
-//!   head) and the [`PostMortem`] report every `SimTimeout` carries
-//!   (and a trapped cluster run's summary).
-//!
-//! Both recorders are fed by observers of the one run loop
-//! (`issr_snitch::cc::run_until_quiescent`), which see the machine only
-//! through a shared reference after each tick: recording cannot change
-//! a simulated bit or cycle.
+//! * [`recorder`] — the one transition recorder ([`Recorder`]): per-unit
+//!   [`StallCause`] changes, counters and instant markers under one cap,
+//!   keeping the head of a run (a Perfetto trace) or its tail (the
+//!   flight recorder) by its [`Keep`] policy, and the one Chrome
+//!   trace-event exporter every trace goes through. Its observers see
+//!   the machine only through a shared reference after each tick of the
+//!   one run loop (`issr_snitch::cc::run_until_quiescent`), so
+//!   recording cannot change a simulated bit or cycle.
+//! * [`postmortem`] — the [`PostMortem`] report every `SimTimeout`
+//!   carries (and a trapped cluster run's summary), with the flight
+//!   recorder's final window attached.
 //! * [`host`] — the opt-in host-side self-profiler: wall-clock per
 //!   unit class, the provably-idle tick census, simulated-cycles/sec.
 //! * [`json`] — a minimal JSON value/writer/parser ([`Json`]) for the
@@ -51,22 +49,22 @@
 
 pub mod analyze;
 pub mod attr;
-pub mod blackbox;
-pub mod chrome;
 pub mod critpath;
 pub mod host;
 pub mod json;
 pub mod merge;
+pub mod postmortem;
+pub mod recorder;
 pub mod waitgraph;
 
 pub use analyze::{classify, Bound, PhaseProfile, RooflineInput, Verdict};
 pub use attr::{breakdown_table, CycleBreakdown, StallCause};
-pub use blackbox::{BlackBox, Classification, PostMortem, StuckUnit, Transition, UnitId};
-pub use chrome::{CounterId, TraceRecorder, TrackId};
 pub use critpath::{extract, CriticalPath};
 pub use host::HostProfiler;
 pub use json::Json;
 pub use merge::StatMerge;
+pub use postmortem::{Classification, PostMortem, StuckUnit};
+pub use recorder::{Keep, Recorder, Transition};
 pub use waitgraph::{edge_for, is_blocked, EdgeClass, UnitClass, WaitGraph};
 
 /// Guarded division for speedups, rates and utilizations: returns

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use issr::cluster::{Cluster, ClusterParams, FlightRecorder};
+use issr::cluster::{Cluster, ClusterParams, ClusterRecorder};
 use issr::core::cfg::{cfg_addr, idx_cfg_word, reg as sreg};
 use issr::core::serializer::IndexSize;
 use issr::isa::asm::{Assembler, Program};
@@ -190,7 +190,7 @@ fn single_cc_tick_does_not_allocate() {
 fn cluster_tick_does_not_allocate() {
     let params = ClusterParams::default();
     let mut cluster = Cluster::new(steady_program(), params);
-    let mut flight = FlightRecorder::new(std::slice::from_ref(&cluster));
+    let mut flight = ClusterRecorder::flight(std::slice::from_ref(&cluster));
     let mut dots = Vec::new();
     for hart in 0..params.n_workers as u32 {
         dots.push(marshal(hart, |addr, v| cluster.tcdm.array_mut().store_u64(addr, v)));
